@@ -10,10 +10,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <functional>
 #include <initializer_list>
+#include <string>
+#include <thread>
 
 #include "tensor/tensor.hpp"
+#include "util/benchjson.hpp"
 #include "util/random.hpp"
 
 namespace olive {
@@ -43,6 +47,29 @@ gaussianTensor(std::initializer_list<size_t> shape, u64 seed)
     for (auto &v : t.data())
         v = static_cast<float>(rng.gaussian());
     return t;
+}
+
+/**
+ * Record the measuring host in @p report's meta: hardware thread count
+ * and CPU model (from /proc/cpuinfo; "unknown" where that is absent),
+ * so committed BENCH_*.json rows name the machine they came from.
+ */
+inline void
+noteHost(BenchReport &report)
+{
+    std::string cpu = "unknown";
+    std::ifstream in("/proc/cpuinfo");
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("model name", 0) == 0) {
+            const size_t colon = line.find(':');
+            if (colon != std::string::npos && colon + 2 <= line.size())
+                cpu = line.substr(colon + 2);
+            break;
+        }
+    }
+    report.note("host_nproc",
+                std::to_string(std::thread::hardware_concurrency()));
+    report.note("host_cpu", cpu);
 }
 
 } // namespace benchutil

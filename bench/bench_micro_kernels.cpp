@@ -2,12 +2,15 @@
  * @file
  * Before/after microbenchmarks of the software hot paths this repo
  * optimizes: normal-codec encode, OVP stream encode/decode, the fused
- * fakeQuant round trip, quantizer calibration, and the tiled GEMM
- * kernels.  Every kernel runs its retained *Reference() oracle and its
- * fast path back to back, asserts the outputs are bit-identical, and
- * reports both throughputs plus the speedup.  Results are also written
- * as machine-readable JSON (BENCH_micro.json) so the repository's
- * performance trajectory is recorded across PRs.
+ * fakeQuant round trip, quantizer calibration, and the GEMM kernels —
+ * the 256x256 squares plus the weight shapes serving runs (the
+ * GPT2-XL evaluation backbone's projections, feed-forward matrices and
+ * vocab head at m = 1, 4 and 32 rows).  Every kernel runs its retained
+ * *Reference() oracle and its fast path back to back, asserts the
+ * outputs are bit-identical, and reports both throughputs plus the
+ * speedup.  Results are also written as machine-readable JSON
+ * (BENCH_micro.json) so the repository's performance trajectory is
+ * recorded across PRs.
  *
  * Measurements pin the pool to one thread: these are per-core kernel
  * numbers (bench_parallel_scaling covers scaling).  Under OLIVE_SMOKE
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "models/config.hpp"
 #include "quant/quantizer.hpp"
 #include "tensor/gemm.hpp"
 #include "util/args.hpp"
@@ -248,6 +252,58 @@ main(int argc, char **argv)
         rows.push_back(r);
     }
 
+    // --- GEMM at the serving shapes ------------------------------------
+    // linearForward on the layer weights, matmulTransB on the vocab head
+    // (the embedding, as LmModel::logitsFromHidden runs it), each
+    // oracle-checked against matmulTransBReference (+ the float bias).
+    // Small shapes repeat inside one timed run so a run is ~4 MFLOP.
+    {
+        const models::ModelConfig gpt2 = models::byName("GPT2-XL");
+        const size_t d = gpt2.evalDModel, dff = gpt2.evalDFf;
+        const struct
+        {
+            const char *name;
+            size_t n, k;
+            bool bias;
+        } shapes[] = {{"attn_proj", d, d, true},
+                      {"ff1", dff, d, true},
+                      {"ff2", d, dff, true},
+                      {"head", gpt2.evalVocab, d, false}};
+        u64 seed = 10;
+        for (const auto &sh : shapes) {
+            const Tensor w = gaussianTensor({sh.n, sh.k}, ++seed);
+            const Tensor bias = gaussianTensor({sh.n}, ++seed);
+            for (const size_t m : {1, 4, 32}) {
+                const Tensor a = gaussianTensor({m, sh.k}, ++seed);
+                const double flop =
+                    2.0 * static_cast<double>(m * sh.n * sh.k);
+                const size_t iters = std::max<size_t>(
+                    1, smoke::count(4000000, 1) / static_cast<size_t>(flop));
+                KernelRow r{std::string("gemm linear ") + sh.name + " m" +
+                                std::to_string(m),
+                            flop * static_cast<double>(iters) / 1e9,
+                            "GFLOP/s"};
+                Tensor ref_c, fast_c;
+                r.refSec = secondsOf(reps, [&] {
+                    for (size_t it = 0; it < iters; ++it) {
+                        ref_c = matmulTransBReference(a, w);
+                        if (sh.bias)
+                            for (size_t i = 0; i < m; ++i)
+                                for (size_t j = 0; j < sh.n; ++j)
+                                    ref_c.at(i, j) += bias[j];
+                    }
+                });
+                r.fastSec = secondsOf(reps, [&] {
+                    for (size_t it = 0; it < iters; ++it)
+                        fast_c = sh.bias ? linearForward(a, w, bias)
+                                         : matmulTransB(a, w);
+                });
+                r.identical = sameTensor(ref_c, fast_c);
+                rows.push_back(r);
+            }
+        }
+    }
+
     // --- axpy ----------------------------------------------------------
     {
         const double mb = static_cast<double>(dim) *
@@ -281,6 +337,7 @@ main(int argc, char **argv)
     report.note("codec_n", std::to_string(codec_n));
     report.note("calibrate_n", std::to_string(calib_n));
     report.note("gemm_dim", std::to_string(dim));
+    benchutil::noteHost(report);
     for (const KernelRow &r : rows) {
         const double rate_ref = r.work / r.refSec;
         const double rate_fast = r.work / r.fastSec;

@@ -119,6 +119,7 @@ main(int argc, char **argv)
     BenchReport report("bench_parallel_scaling");
     report.note("mode", smoke::enabled() ? "smoke" : "full");
     report.note("threads", std::to_string(nthreads));
+    benchutil::noteHost(report);
     for (const KernelResult &r : results) {
         const double rate_s = r.work / r.serialSec;
         const double rate_p = r.work / r.parallelSec;

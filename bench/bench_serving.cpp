@@ -272,6 +272,7 @@ main(int argc, char **argv)
     report.note("mode", smoke::enabled() ? "smoke" : "full");
     report.note("threads", std::to_string(nthreads));
     report.note("model", config.name);
+    benchutil::noteHost(report);
     report.note("requests", std::to_string(n_requests));
     report.note("max_new", std::to_string(max_new));
     report.note("batch_tokens", std::to_string(scfg.maxBatchTokens));

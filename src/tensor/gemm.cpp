@@ -1,6 +1,7 @@
 #include "gemm.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "util/parallel.hpp"
@@ -9,118 +10,164 @@ namespace olive {
 
 namespace {
 
-/** Row / inner-dim cache block (rows per parallel chunk, l per pass). */
+/** Rows per parallel chunk (matmulReference also blocks l by it). */
 constexpr size_t kBlock = 64;
-
-/**
- * Register-tile width: independent double accumulator chains hide the
- * add latency of the serial per-element accumulation (ILP must come
- * from adjacent output elements), sized for baseline x86-64's sixteen
- * xmm registers.
- */
-constexpr size_t kJTile = 16;
 
 /** Elements per parallel chunk of axpy. */
 constexpr size_t kAxpyGrain = 1u << 14;
 
+// Two-lane SIMD values (GCC/Clang vector extensions; SSE2 on x86-64).
+using V2d = double __attribute__((vector_size(16)));
+using V4f = float __attribute__((vector_size(16)));
+
+/** Lanes Lo and Hi of @p x, widened to a double pair (exact). */
+template <int Lo, int Hi>
+inline V2d
+widen(V4f x)
+{
+    return __builtin_convertvector(__builtin_shufflevector(x, x, Lo, Hi),
+                                   V2d);
+}
+
 /**
- * Core streaming GEMM: C = A(m,k) * B(k,n) [+ bias] with B row-major,
- * given either as floats (@p pbf) or already widened to double
- * (@p pbd; exactly one is non-null).  Cache-blocked over l (kBlock)
- * with a per-row-block double accumulator; float B blocks are widened
- * to a double scratch once per l-block instead of re-running the
- * float->double conversion for every A row (widening is exact, so
- * products are unchanged); the kJTile register tile keeps partial sums
- * in registers across the l-block instead of round-tripping the
- * accumulator buffer once per l.  Every output element accumulates in
- * double over ascending l (blocks ascend, l ascends within a block) —
- * exactly the reference order — so the kernel is bit-identical to
- * matmulReference, and to matmulTransBReference when B holds the
- * transposed weights.
+ * Row-dot register tile: t[r][q] holds the outputs (row r, columns 2q
+ * and 2q+1) as one double pair, so W's widening and the column-pair
+ * shuffles are paid once per l and reused by all R rows.  @p ad holds
+ * the R A rows widened to double and duplicated into both lanes,
+ * interleaved as ad[l * R + r]; @p w[c] points at W's row for tile
+ * column c (a ragged tail repeats its last column).  Each lane is one
+ * chain that starts at 0.0 and adds a(r,l) * w(c,l) for ascending l —
+ * the reference order; float products are exact in double, so not even
+ * FMA contraction could change a bit.
+ */
+template <size_t R, size_t Q>
+void
+rowDotTile(const V2d *ad, const float *const (&w)[2 * Q], size_t k,
+           V2d (&t)[R][Q])
+{
+    // Local chains: @p t may alias @p ad as far as the compiler knows,
+    // which would pin every partial sum to memory.
+    V2d acc[R][Q];
+    for (size_t r = 0; r < R; ++r)
+        for (size_t q = 0; q < Q; ++q)
+            acc[r][q] = V2d{0.0, 0.0};
+    size_t l = 0;
+    for (; l + 4 <= k; l += 4) {
+        for (size_t q = 0; q < Q; ++q) {
+            V4f x0, x1;
+            std::memcpy(&x0, w[2 * q] + l, sizeof x0);
+            std::memcpy(&x1, w[2 * q + 1] + l, sizeof x1);
+            // Interleave the two columns: (c0[l], c1[l], c0[l+1], ...).
+            const V4f lo = __builtin_shufflevector(x0, x1, 0, 4, 1, 5);
+            const V4f hi = __builtin_shufflevector(x0, x1, 2, 6, 3, 7);
+            const V2d y[4] = {widen<0, 1>(lo), widen<2, 3>(lo),
+                              widen<0, 1>(hi), widen<2, 3>(hi)};
+            for (size_t u = 0; u < 4; ++u)
+                for (size_t r = 0; r < R; ++r)
+                    acc[r][q] += ad[(l + u) * R + r] * y[u];
+        }
+    }
+    for (; l < k; ++l) {
+        for (size_t q = 0; q < Q; ++q) {
+            const V2d y = {w[2 * q][l], w[2 * q + 1][l]};
+            for (size_t r = 0; r < R; ++r)
+                acc[r][q] += ad[l * R + r] * y;
+        }
+    }
+    for (size_t r = 0; r < R; ++r)
+        for (size_t q = 0; q < Q; ++q)
+            t[r][q] = acc[r][q];
+}
+
+/**
+ * C rows [i, i + R) of A * W^T (+ bias), swept over all n columns in
+ * rowDotTile<R, Q> tiles with eight accumulator pairs (at most four
+ * column pairs: a single row is bound by W's widening, not by chains).
+ * @p ad is scratch for R * k pairs.
+ */
+template <size_t R>
+void
+rowDotRows(const float *pa, const float *pw, const float *bias, size_t i,
+           size_t k, size_t n, float *pc, V2d *ad)
+{
+    constexpr size_t Q = std::min<size_t>(4, 8 / R);
+    for (size_t l = 0; l < k; ++l) {
+        for (size_t r = 0; r < R; ++r) {
+            const double v = pa[(i + r) * k + l];
+            ad[l * R + r] = V2d{v, v};
+        }
+    }
+    // float(acc) + bias in float arithmetic, exactly the reference's
+    // bias add on the stored float.
+    const auto store = [&](size_t r, size_t j, double v) {
+        float &out = pc[(i + r) * n + j];
+        out = bias ? static_cast<float>(v) + bias[j] : static_cast<float>(v);
+    };
+    size_t j = 0;
+    for (; j + 2 * Q <= n; j += 2 * Q) {
+        const float *w[2 * Q];
+        for (size_t c = 0; c < 2 * Q; ++c)
+            w[c] = pw + (j + c) * k;
+        V2d t[R][Q];
+        rowDotTile<R, Q>(ad, w, k, t);
+        for (size_t r = 0; r < R; ++r) {
+            for (size_t q = 0; q < Q; ++q) {
+                store(r, j + 2 * q, t[r][q][0]);
+                store(r, j + 2 * q + 1, t[r][q][1]);
+            }
+        }
+    }
+    for (; j < n; j += 2) {
+        const bool pair = j + 1 < n;
+        const float *w[2] = {pw + j * k, pw + (pair ? j + 1 : j) * k};
+        V2d t[R][1];
+        rowDotTile<R, 1>(ad, w, k, t);
+        for (size_t r = 0; r < R; ++r) {
+            store(r, j, t[r][0][0]);
+            if (pair)
+                store(r, j + 1, t[r][0][1]);
+        }
+    }
+}
+
+/**
+ * Row-dot GEMM behind matmulTransB and linearForward: C = A(m,k) *
+ * W(n,k)^T [+ bias], reading W's rows in place (they are already
+ * unit-stride in l, so W is never transposed or copied).  Rows go in
+ * kBlock-row parallel chunks, each cut into 8-, 4-, 2- and 1-row
+ * register tiles; every output element is one double chain over
+ * ascending l, so the result is bit-identical to matmulTransBReference
+ * at any row count, tile split and thread count.
  */
 Tensor
-streamKernel(const Tensor &a, const float *pbf, const double *pbd,
-             size_t n, const float *bias)
+rowDotKernel(const Tensor &a, const Tensor &w, const float *bias)
 {
-    const size_t m = a.dim(0), k = a.dim(1);
+    const size_t m = a.dim(0), k = a.dim(1), n = w.dim(0);
     Tensor c({m, n});
     const float *pa = a.raw();
+    const float *pw = w.raw();
     float *pc = c.raw();
 
     par::parallelFor(0, m, kBlock, [&](size_t r0, size_t r1) {
-        std::vector<double> acc((r1 - r0) * n, 0.0);
-        std::vector<double> bscratch(pbd ? 0 : kBlock * n);
-        for (size_t l0 = 0; l0 < k; l0 += kBlock) {
-            const size_t l1 = std::min(l0 + kBlock, k);
-            const double *bblk;
-            if (pbd) {
-                bblk = pbd + l0 * n;
+        std::vector<V2d> ad(std::min<size_t>(8, r1 - r0) * k);
+        for (size_t i = r0; i < r1;) {
+            const size_t left = r1 - i;
+            if (left >= 8) {
+                rowDotRows<8>(pa, pw, bias, i, k, n, pc, ad.data());
+                i += 8;
+            } else if (left >= 4) {
+                rowDotRows<4>(pa, pw, bias, i, k, n, pc, ad.data());
+                i += 4;
+            } else if (left >= 2) {
+                rowDotRows<2>(pa, pw, bias, i, k, n, pc, ad.data());
+                i += 2;
             } else {
-                for (size_t l = l0; l < l1; ++l) {
-                    const float *brow = pbf + l * n;
-                    double *drow = bscratch.data() + (l - l0) * n;
-                    for (size_t j = 0; j < n; ++j)
-                        drow[j] = brow[j];
-                }
-                bblk = bscratch.data();
-            }
-            for (size_t i = r0; i < r1; ++i) {
-                double *arow_acc = acc.data() + (i - r0) * n;
-                const float *arow = pa + i * k;
-                size_t j = 0;
-                for (; j + kJTile <= n; j += kJTile) {
-                    double t[kJTile];
-                    for (size_t u = 0; u < kJTile; ++u)
-                        t[u] = arow_acc[j + u];
-                    for (size_t l = l0; l < l1; ++l) {
-                        const double av = arow[l];
-                        const double *brow = bblk + (l - l0) * n + j;
-                        for (size_t u = 0; u < kJTile; ++u)
-                            t[u] += av * brow[u];
-                    }
-                    for (size_t u = 0; u < kJTile; ++u)
-                        arow_acc[j + u] = t[u];
-                }
-                for (; j < n; ++j) {
-                    double t = arow_acc[j];
-                    for (size_t l = l0; l < l1; ++l)
-                        t += static_cast<double>(arow[l]) *
-                             bblk[(l - l0) * n + j];
-                    arow_acc[j] = t;
-                }
-            }
-        }
-        for (size_t i = r0; i < r1; ++i) {
-            const double *arow = acc.data() + (i - r0) * n;
-            float *crow = pc + i * n;
-            if (bias) {
-                // float(acc) + bias in float arithmetic, exactly the
-                // add the former second sweep applied to the stored
-                // float.
-                for (size_t j = 0; j < n; ++j)
-                    crow[j] = static_cast<float>(arow[j]) + bias[j];
-            } else {
-                for (size_t j = 0; j < n; ++j)
-                    crow[j] = static_cast<float>(arow[j]);
+                rowDotRows<1>(pa, pw, bias, i, k, n, pc, ad.data());
+                i += 1;
             }
         }
     });
     return c;
-}
-
-/** (n,k) floats -> row-major (k,n) doubles (widening is exact). */
-std::vector<double>
-transposeToDouble(const Tensor &b)
-{
-    const size_t n = b.dim(0), k = b.dim(1);
-    std::vector<double> out(k * n);
-    const float *pb = b.raw();
-    par::parallelFor(0, n, kBlock, [&](size_t j0, size_t j1) {
-        for (size_t j = j0; j < j1; ++j)
-            for (size_t l = 0; l < k; ++l)
-                out[l * n + j] = pb[j * k + l];
-    });
-    return out;
 }
 
 } // namespace
@@ -130,7 +177,17 @@ matmul(const Tensor &a, const Tensor &b)
 {
     OLIVE_ASSERT(a.rank() == 2 && b.rank() == 2, "matmul needs matrices");
     OLIVE_ASSERT(b.dim(0) == a.dim(1), "matmul inner dims must agree");
-    return streamKernel(a, b.raw(), nullptr, b.dim(1), nullptr);
+    // No serving path multiplies by an untransposed B, so one O(k*n)
+    // transpose buys the row-dot kernel (and its exact ascending-l
+    // order, hence bit-identity with matmulReference).
+    const size_t k = b.dim(0), n = b.dim(1);
+    Tensor bt({n, k});
+    const float *pb = b.raw();
+    float *pbt = bt.raw();
+    for (size_t j = 0; j < n; ++j)
+        for (size_t l = 0; l < k; ++l)
+            pbt[j * k + l] = pb[l * n + j];
+    return rowDotKernel(a, bt, nullptr);
 }
 
 Tensor
@@ -138,13 +195,7 @@ matmulTransB(const Tensor &a, const Tensor &b)
 {
     OLIVE_ASSERT(a.rank() == 2 && b.rank() == 2, "matmul needs matrices");
     OLIVE_ASSERT(b.dim(1) == a.dim(1), "matmulTransB inner dims must agree");
-    // One O(n*k) widening transpose turns the strided dot products into
-    // the streaming kernel's unit-stride row passes; each output
-    // element still accumulates a(i,l) * b(j,l) in double over
-    // ascending l, so the result is bit-identical to
-    // matmulTransBReference.
-    const std::vector<double> bt = transposeToDouble(b);
-    return streamKernel(a, nullptr, bt.data(), b.dim(0), nullptr);
+    return rowDotKernel(a, b, nullptr);
 }
 
 Tensor
@@ -154,8 +205,7 @@ linearForward(const Tensor &a, const Tensor &w, const Tensor &bias)
     OLIVE_ASSERT(w.dim(1) == a.dim(1), "matmulTransB inner dims must agree");
     OLIVE_ASSERT(bias.rank() == 1 && bias.dim(0) == w.dim(0),
                  "bias must match output features");
-    const std::vector<double> wt = transposeToDouble(w);
-    return streamKernel(a, nullptr, wt.data(), w.dim(0), bias.raw());
+    return rowDotKernel(a, w, bias.raw());
 }
 
 void

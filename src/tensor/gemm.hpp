@@ -1,6 +1,6 @@
 /**
  * @file
- * Blocked single-precision GEMM and friends.
+ * Single-precision GEMM and friends.
  *
  * C = A(m,k) * B(k,n) [+ bias], with optional transposition of B.  This
  * is the reference arithmetic path for the functional evaluation; the
@@ -11,11 +11,15 @@
  * transposed inputs, and row-parallel execution (util/parallel) is
  * bit-identical to serial at any OLIVE_THREADS value.
  *
- * The public kernels are register-tiled and cache-blocked; tiling only
- * regroups which output elements are computed together — each element
- * still accumulates over the same ascending inner index in double — so
- * the fast kernels are bit-identical to the straightforward
- * *Reference() implementations retained below as oracles
+ * All three run one row-dot kernel.  For matmulTransB and linearForward
+ * W is (n,k), so its rows are already unit-stride in the inner index and
+ * are read in place, never transposed or copied; matmul, which no
+ * serving path calls, transposes B once.  Register tiles of up to 8 rows
+ * x 2 columns or 1 row x 8 columns give independent chains; each output
+ * is still one double chain from 0.0 over ascending l, never split.
+ * Tiling only regroups which output elements are computed together, so
+ * the fast kernels are bit-identical to the straightforward *Reference()
+ * implementations retained below as oracles
  * (tests/test_kernels_oracle.cpp compares them bytewise).
  */
 

@@ -12,8 +12,9 @@
  *    encode/decode/fakeQuant round trips against the pre-LUT reference.
  *  - OliveQuantizer: fakeQuantMse == stats::mse(s, fakeQuant(s)) and
  *    calibrate() decision == calibrateReference() decision.
- *  - GEMM: tiled matmul/matmulTransB/linearForward bytewise against the
- *    untiled references, including remainder shapes; parallel axpy
+ *  - GEMM: tiled matmul and row-dot matmulTransB/linearForward bytewise
+ *    against the untiled references, including the serving weight
+ *    shapes at every row-tile split and ragged n/k tails; parallel axpy
  *    against a serial loop.
  */
 
@@ -288,8 +289,8 @@ bitEqualTensor(const Tensor &a, const Tensor &b)
 TEST(GemmOracle, TiledMatmulMatchesReference)
 {
     using namespace gemm_oracle;
-    // Shapes cover the register-tile remainder paths (n % 16 != 0), the
-    // l-block remainder (k % 64 != 0), and the parallel row chunking.
+    // Shapes cover ragged row tiles and column pairs, the l tail
+    // (k % 4 != 0), and the parallel row chunking.
     const size_t shapes[][3] = {
         {1, 1, 1}, {3, 5, 2}, {7, 13, 9}, {16, 64, 16},
         {33, 65, 17}, {64, 64, 64}, {65, 100, 130},
@@ -344,6 +345,86 @@ TEST(GemmOracle, LinearForwardMatchesReferencePlusBias)
         for (size_t j = 0; j < n; ++j)
             ref.at(i, j) += bias[j];
     EXPECT_TRUE(bitEqualTensor(fast, ref));
+}
+
+/**
+ * Oracle-checks both row-dot entry points on one (m, k, n) shape:
+ * matmulTransB against matmulTransBReference and linearForward against
+ * the reference plus a float bias add, bytewise.
+ */
+void
+expectRowDotMatchesReference(size_t m, size_t k, size_t n)
+{
+    using namespace gemm_oracle;
+    const Tensor a = randomTensor({m, k}, 11 * m + k);
+    const Tensor w = randomTensor({n, k}, 17 * n + k);
+    const Tensor bias = randomTensor({n}, 19 * n + m);
+    Tensor ref = matmulTransBReference(a, w);
+    EXPECT_TRUE(bitEqualTensor(matmulTransB(a, w), ref))
+        << "matmulTransB m=" << m << " k=" << k << " n=" << n;
+    for (size_t i = 0; i < m; ++i)
+        for (size_t j = 0; j < n; ++j)
+            ref.at(i, j) += bias[j];
+    EXPECT_TRUE(bitEqualTensor(linearForward(a, w, bias), ref))
+        << "linearForward m=" << m << " k=" << k << " n=" << n;
+}
+
+TEST(GemmOracle, RowDotServingShapesMatchReference)
+{
+    // The (n, k) weight shapes the GPT2-XL evaluation backbone serves
+    // (d x d projections, both feed-forward matrices, the vocab head)
+    // at every row-tile split: 1..5 rows, whole and ragged 8-row tiles,
+    // and across the 64-row parallel chunk boundary.
+    const size_t weights[][2] = {{128, 128}, {256, 128}, {128, 256},
+                                 {1024, 128}};
+    for (const auto &nk : weights)
+        for (const size_t m : {1, 2, 3, 4, 5, 8, 31, 32, 33, 65, 130})
+            expectRowDotMatchesReference(m, nk[1], nk[0]);
+}
+
+TEST(GemmOracle, RowDotRaggedTailsMatchReference)
+{
+    // n % 4 != 0 and odd n (the column-pair tail repeats its last
+    // column), k % 4 != 0 (the scalar l tail) and k = 1.
+    const size_t shapes[][3] = {
+        {1, 1, 1}, {2, 1, 7}, {9, 1, 3}, {1, 3, 5}, {3, 7, 9}, {8, 13, 6},
+        {5, 129, 10}, {17, 31, 131}, {64, 5, 63}, {70, 66, 2},
+        {13, 255, 11},
+    };
+    for (const auto &s : shapes)
+        expectRowDotMatchesReference(s[0], s[1], s[2]);
+}
+
+TEST(GemmOracle, RowDotKeepsAscendingOrderUnderCancellation)
+{
+    // Gaussian data is nearly order-blind at float precision: the
+    // double accumulator hides a reordering in bits the float output
+    // drops.  Here every third l pair (p, p + 1) adds and then exactly
+    // cancels a 2^36-sized product, rounding the running sum to a
+    // coarse grid at that point, so moving any term across a pair (a
+    // split or reversed reduction, a misordered l tail) shows in the
+    // float result.
+    using namespace gemm_oracle;
+    const size_t shapes[][3] = {
+        {1, 7, 5}, {2, 30, 9}, {5, 31, 8},
+        {8, 129, 17}, {9, 66, 4}, {33, 128, 128},
+    };
+    for (const auto &s : shapes) {
+        const size_t m = s[0], k = s[1], n = s[2];
+        Tensor a = randomTensor({m, k}, 23 * m + k);
+        Tensor w = randomTensor({n, k}, 29 * n + k);
+        for (size_t p = 0; p + 1 < k; p += 3) {
+            for (size_t j = 0; j < n; ++j)
+                w.at(j, p + 1) = w.at(j, p);
+            for (size_t i = 0; i < m; ++i) {
+                a.at(i, p) = (i + p) % 2 ? 0x1p36f : -0x1p36f;
+                a.at(i, p + 1) = -a.at(i, p);
+            }
+        }
+        EXPECT_TRUE(bitEqualTensor(matmulTransB(a, w),
+                                   matmulTransBReference(a, w)))
+            << m << "x" << k << "x" << n;
+    }
 }
 
 TEST(GemmOracle, ParallelAxpyMatchesSerialLoop)

@@ -187,27 +187,33 @@ TEST(ParallelFor, RegionFlagTracksKernelScope)
 TEST(Determinism, GemmBitExactAcrossThreadCounts)
 {
     ThreadCountGuard guard;
-    const Tensor a = gaussianTensor({37, 96}, 1);
     const Tensor b = gaussianTensor({96, 53}, 2);
     const Tensor w = gaussianTensor({53, 96}, 3);
     const Tensor bias = gaussianTensor({53}, 4);
 
-    par::setThreadCount(1);
-    const Tensor c1 = matmul(a, b);
-    const Tensor t1 = matmulTransB(a, w);
-    const Tensor l1 = linearForward(a, w, bias);
+    // m = 1 is a single decode row, 37 one partial 64-row parallel
+    // chunk, and 130 spans three chunks (the last a ragged 2 rows).
+    for (const size_t m : {1u, 37u, 130u}) {
+        const Tensor a = gaussianTensor({m, 96}, 1);
 
-    // 0 = the ambient OLIVE_THREADS default, so the CTest determinism
-    // legs (OLIVE_THREADS=1 and =8) genuinely exercise that pool size.
-    for (size_t threads : {2u, 5u, 0u}) {
-        par::setThreadCount(threads);
-        EXPECT_TRUE(bitIdentical(matmul(a, b).data(), c1.data()))
-            << threads;
-        EXPECT_TRUE(bitIdentical(matmulTransB(a, w).data(), t1.data()))
-            << threads;
-        EXPECT_TRUE(bitIdentical(linearForward(a, w, bias).data(),
-                                 l1.data()))
-            << threads;
+        par::setThreadCount(1);
+        const Tensor c1 = matmul(a, b);
+        const Tensor t1 = matmulTransB(a, w);
+        const Tensor l1 = linearForward(a, w, bias);
+
+        // 0 = the ambient OLIVE_THREADS default, so the CTest
+        // determinism legs (OLIVE_THREADS=1 and =8) genuinely exercise
+        // that pool size.
+        for (size_t threads : {2u, 5u, 0u}) {
+            par::setThreadCount(threads);
+            EXPECT_TRUE(bitIdentical(matmul(a, b).data(), c1.data()))
+                << "m=" << m << " threads=" << threads;
+            EXPECT_TRUE(bitIdentical(matmulTransB(a, w).data(), t1.data()))
+                << "m=" << m << " threads=" << threads;
+            EXPECT_TRUE(bitIdentical(linearForward(a, w, bias).data(),
+                                     l1.data()))
+                << "m=" << m << " threads=" << threads;
+        }
     }
 }
 
