@@ -2,8 +2,9 @@
  * @file
  * Before/after microbenchmarks of the software hot paths this repo
  * optimizes: normal-codec encode, OVP stream encode/decode, the fused
- * fakeQuant round trip, quantizer calibration, and the GEMM kernels —
- * the 256x256 squares plus the weight shapes serving runs (the
+ * fakeQuant round trip, quantizer calibration (a 16K tensor and the
+ * d = 128 KV rows serving calibrates one at a time), and the GEMM
+ * kernels — the 256x256 squares plus the weight shapes serving runs (the
  * GPT2-XL evaluation backbone's projections, feed-forward matrices and
  * vocab head at m = 1, 4 and 32 rows).  Every kernel runs its retained
  * *Reference() oracle and its fast path back to back, asserts the
@@ -21,6 +22,7 @@
  *   ./build/bench_micro_kernels --reps 5 --out BENCH_micro.json
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -227,6 +229,34 @@ main(int argc, char **argv)
         r.fastSec =
             secondsOf(reps, [&] { fast_d = quantizer.calibrate(calib_xs); });
         r.identical = sameDecision(ref_d, fast_d);
+        rows.push_back(r);
+    }
+    // The shape serving calibrates: one d = 128 KV row at a time (the
+    // GPT2-XL evaluation backbone's width), over a batch of rows.
+    for (const int bits : {4, 8}) {
+        OliveConfig config;
+        config.bits = bits;
+        const OliveQuantizer kv(config);
+        const size_t d = models::byName("GPT2-XL").evalDModel;
+        const size_t n_rows = smoke::count(256, 16);
+        const auto kv_xs = benchData(d * n_rows);
+        const auto row = [&](size_t i) {
+            return std::span<const float>(kv_xs).subspan(i * d, d);
+        };
+        KernelRow r{"calibrate kv-row d" + std::to_string(d) + " olive" +
+                        std::to_string(bits),
+                    static_cast<double>(n_rows), "calib/s"};
+        std::vector<QuantDecision> ref_d(n_rows), fast_d(n_rows);
+        r.refSec = secondsOf(reps, [&] {
+            for (size_t i = 0; i < n_rows; ++i)
+                ref_d[i] = kv.calibrateReference(row(i));
+        });
+        r.fastSec = secondsOf(reps, [&] {
+            for (size_t i = 0; i < n_rows; ++i)
+                fast_d[i] = kv.calibrate(row(i));
+        });
+        r.identical = std::equal(ref_d.begin(), ref_d.end(), fast_d.begin(),
+                                 sameDecision);
         rows.push_back(r);
     }
 

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "eval/perplexity.hpp"
 #include "models/config.hpp"
 #include "serve/engine.hpp"
@@ -239,6 +240,7 @@ main(int argc, char **argv)
     report.note("threads", std::to_string(nthreads));
     report.note("model", config.name);
     report.note("cache_format", "olive4");
+    benchutil::noteHost(report);
     Json streams = Json::object({});
 
     std::map<std::string, ScenarioRun> runs;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <memory>
-#include <unordered_map>
+#include <mutex>
 #include <vector>
 
 #include "util/bitops.hpp"
@@ -119,36 +121,21 @@ namespace {
  * decoded value of every code and the encode boundary/code tables with
  * their bit-exact verification against AbFloat::encode.  Building them
  * is the expensive part of OvpCodec construction (hundreds of abfloat
- * encodes for E4M3), and the OVP calibration grid constructs one codec
- * per threshold candidate per KV row — so the tables are cached per
- * (normal type, bias) key and the constructor only applies the scale.
- *
- * The cache is thread_local, mirroring the decode-codec cache in
- * kv_cache.cpp: codec construction runs concurrently inside the
- * calibration grid's parallelFor, a per-thread map needs no locks, and
- * every thread builds the identical tables from the identical key.  The
- * key space is tiny (3 normal types x biases in [0, 40]), so no
- * eviction is needed.
+ * encodes for E4M3), so they are built once per (normal type, bias)
+ * key for the life of the process and every codec points into them.
  */
 struct OutlierTables
 {
     u32 sign = 0;                    //!< Sign bit of the code space.
     std::array<double, 256> decoded{}; //!< abfloat_.decode(code).
+    std::vector<double> mags;        //!< Nonzero magnitudes, ascending.
     std::vector<double> bounds;      //!< Magnitude midpoints.
     std::vector<u32> codes;          //!< Code per magnitude interval.
 };
 
-const OutlierTables &
-outlierTablesFor(NormalType normal, const AbFloat &abfloat)
+std::unique_ptr<const OutlierTables>
+buildOutlierTables(NormalType normal, const AbFloat &abfloat)
 {
-    thread_local std::unordered_map<u32, std::unique_ptr<OutlierTables>>
-        cache;
-    const u32 key = (static_cast<u32>(normal) << 8) |
-                    static_cast<u32>(abfloat.bias());
-    auto it = cache.find(key);
-    if (it != cache.end())
-        return *it->second;
-
     auto tabs = std::make_unique<OutlierTables>();
     const u32 identifier = outlierIdentifier(normal);
     const u32 n_codes = 1u << bitWidth(normal);
@@ -164,14 +151,13 @@ outlierTablesFor(NormalType normal, const AbFloat &abfloat)
     // double and the step positions are verified exactly below.
     tabs->sign =
         1u << (static_cast<u32>(abfloat.expBits() + abfloat.mantBits()));
-    const std::vector<i64> mags = abfloat.unsignedValueTable();
-    // mags is ascending and deduplicated; drop the leading zero (the
-    // all-zeros code is never produced for outliers).
-    std::vector<double> vals;
-    for (i64 v : mags) {
+    // The value table is ascending and deduplicated; drop the leading
+    // zero (the all-zeros code is never produced for outliers).
+    for (i64 v : abfloat.unsignedValueTable()) {
         if (v > 0)
-            vals.push_back(static_cast<double>(v));
+            tabs->mags.push_back(static_cast<double>(v));
     }
+    const std::vector<double> &vals = tabs->mags;
     OLIVE_ASSERT(!vals.empty(), "empty abfloat magnitude table");
     tabs->codes.reserve(vals.size());
     for (double v : vals)
@@ -197,7 +183,29 @@ outlierTablesFor(NormalType normal, const AbFloat &abfloat)
         OLIVE_ASSERT(code != identifier && (code | tabs->sign) != identifier,
                      "outlier code must not be the identifier");
     }
-    return *cache.emplace(key, std::move(tabs)).first->second;
+    return tabs;
+}
+
+/**
+ * The tables of @p normal's abfloat at @p bias.  Built on first use
+ * under std::call_once and immutable afterwards, so concurrent codec
+ * construction needs no lock after warm-up and a codec's table
+ * pointers stay valid on any thread for the life of the process.
+ */
+const OutlierTables &
+outlierTablesFor(NormalType normal, const AbFloat &abfloat)
+{
+    constexpr size_t kBiases = 41; // AbFloat asserts bias in [0, 40]
+    constexpr size_t kKeys = 3 * kBiases;
+    static std::array<std::once_flag, kKeys> once;
+    static std::array<std::unique_ptr<const OutlierTables>, kKeys> tables;
+    const size_t key = static_cast<size_t>(normal) * kBiases +
+                       static_cast<size_t>(abfloat.bias());
+    OLIVE_ASSERT(key < kKeys, "abfloat bias out of range");
+    std::call_once(once[key], [&] {
+        tables[key] = buildOutlierTables(normal, abfloat);
+    });
+    return *tables[key];
 }
 
 } // namespace
@@ -378,16 +386,26 @@ OvpCodec::decodePairReference(u32 in1, u32 in2, float &val1,
 std::vector<u8>
 OvpCodec::encode(std::span<const float> xs, OvpStats *stats) const
 {
+    std::vector<u8> out((xs.size() + 1) / 2 * bytesPerPair());
+    encodeInto(xs, out, stats);
+    return out;
+}
+
+void
+OvpCodec::encodeInto(std::span<const float> xs, std::span<u8> out,
+                     OvpStats *stats) const
+{
     const size_t pairs = (xs.size() + 1) / 2;
-    std::vector<u8> out(pairs * bytesPerPair());
+    OLIVE_ASSERT(out.size() == pairs * bytesPerPair(),
+                 "encode target must hold exactly the packed pairs");
     const bool nibble_packed = bytesPerPair() == 1;
 
     // Pairs encode independently into disjoint output bytes; the stats
     // counters reduce from per-chunk partials in chunk order, so both
     // the byte stream and the counts are thread-count invariant.
     const size_t chunks = par::chunkCount(0, pairs, kPairGrain);
-    std::vector<OvpStats> partial(chunks);
-    par::parallelFor(0, pairs, kPairGrain, [&](size_t pb, size_t pe) {
+    std::vector<OvpStats> partial(stats ? chunks : 0);
+    const auto body = [&](size_t pb, size_t pe) {
         OvpStats st;
         for (size_t p = pb; p < pe; ++p) {
             const float v1 = xs[2 * p];
@@ -412,8 +430,12 @@ OvpCodec::encode(std::span<const float> xs, OvpStats *stats) const
                 out[2 * p + 1] = static_cast<u8>(c2);
             }
         }
-        partial[par::chunkIndex(0, kPairGrain, pb)] = st;
-    });
+        if (stats)
+            partial[par::chunkIndex(0, kPairGrain, pb)] = st;
+    };
+    // A reference_wrapper fits std::function's inline storage, so the
+    // region itself allocates nothing.
+    par::parallelFor(0, pairs, kPairGrain, std::cref(body));
 
     if (stats) {
         OvpStats total;
@@ -424,7 +446,6 @@ OvpCodec::encode(std::span<const float> xs, OvpStats *stats) const
         }
         *stats = total;
     }
-    return out;
 }
 
 std::vector<float>
@@ -553,33 +574,282 @@ OvpCodec::fakeQuantReference(std::span<const float> xs,
     return out;
 }
 
-double
-OvpCodec::fakeQuantMse(std::span<const float> xs) const
+namespace {
+
+/** Candidates one lockstep pass scores side by side. */
+constexpr size_t kLockstepWidth = 8;
+
+/** Midpoints of the flint4 grid, pre-scaled per lane. */
+constexpr size_t kFlintMids = 7;
+
+/**
+ * Scale-free value grid of one normal type and its default-bias
+ * abfloat, as the lockstep scorer sees it: a value quantizes to the
+ * magnitude whose interval between consecutive midpoints holds it.
+ */
+struct LockstepGrid
 {
-    if (xs.empty())
-        return 0.0;
-    // Serial, element-order accumulation: must match
-    // stats::mse(xs, fakeQuant(xs)) bit-for-bit, and the calibration
-    // grid this serves already parallelizes across candidates (a nested
-    // parallelFor would run inline anyway).
+    std::vector<double> normalMags;  //!< 0 .. max normal, ascending.
+    std::vector<double> normalMids;  //!< Midpoints of normalMags.
+    std::vector<double> outlierMags; //!< Nonzero abfloat magnitudes.
+    std::vector<double> outlierMids; //!< Their midpoints up to 2^15.
+};
+
+LockstepGrid
+buildLockstepGrid(NormalType t)
+{
+    LockstepGrid g;
+    for (int v : valueTable(t)) {
+        if (v >= 0)
+            g.normalMags.push_back(v);
+    }
+    g.normalMids.reserve(g.normalMags.size() - 1);
+    for (size_t i = 0; i + 1 < g.normalMags.size(); ++i)
+        g.normalMids.push_back((g.normalMags[i] + g.normalMags[i + 1]) / 2);
+    const OutlierTables &tabs = outlierTablesFor(t, outlierTypeFor(t));
+    g.outlierMags = tabs.mags;
+    // The 2^15 grid clip caps an outlier's magnitude before rounding,
+    // so a midpoint beyond it is never reached.
+    for (double b : tabs.bounds) {
+        if (b <= 32768.0)
+            g.outlierMids.push_back(b);
+    }
+    OLIVE_ASSERT(t != NormalType::Flint4 ||
+                     g.normalMids.size() == kFlintMids,
+                 "unexpected flint4 grid size");
+    return g;
+}
+
+const LockstepGrid &
+lockstepGrid(NormalType t)
+{
+    static const LockstepGrid int4 = buildLockstepGrid(NormalType::Int4);
+    static const LockstepGrid flint4 =
+        buildLockstepGrid(NormalType::Flint4);
+    static const LockstepGrid int8 = buildLockstepGrid(NormalType::Int8);
+    switch (t) {
+      case NormalType::Int4:
+        return int4;
+      case NormalType::Flint4:
+        return flint4;
+      case NormalType::Int8:
+        return int8;
+    }
+    OLIVE_PANIC("unknown NormalType");
+}
+
+// Two double lanes: the baseline vector width of x86-64 and AArch64
+// (GCC/Clang vector extensions, no -march).
+using D2 = double __attribute__((vector_size(16)));
+using M2 = std::int64_t __attribute__((vector_size(16)));
+using F2 = float __attribute__((vector_size(8)));
+
+/** Lanes in one lockstep pass, as D2 vectors. */
+constexpr size_t kLockstepVecs = kLockstepWidth / 2;
+using Lanes = std::array<D2, kLockstepVecs>;
+
+inline D2
+splat(double x)
+{
+    return D2{x, x};
+}
+
+/** Lane-wise m ? a : b for a comparison mask m. */
+inline D2
+pick(M2 m, D2 a, D2 b)
+{
+    return reinterpret_cast<D2>((m & reinterpret_cast<M2>(a)) |
+                                (~m & reinterpret_cast<M2>(b)));
+}
+
+/**
+ * One lockstep pass: kLockstepWidth candidate lanes of normal type
+ * @p T scored over @p xs with the lane index innermost, in two-lane
+ * vectors.  Lanes past @p n repeat candidate 0 and are discarded.
+ *
+ * No division: every midpoint b has at most 8 significant bits and
+ * every scale s is a float, so b * s is exact in double.  A nonzero
+ * x - b * s is then at least 2^-33 |b * s|, far above half an ulp of
+ * the quotient, so comparing fl(x / s) with b (what the codec does)
+ * gives the same answer as comparing x with b * s, ties included.
+ * Values are rebuilt as (float)(mag * s): mag * s is exact in double,
+ * so one rounding to float is the codec's float product.
+ */
+template <NormalType T>
+void
+lockstepPass(const LockstepGrid &g, std::span<const float> xs,
+             const float *scales, const double *thresholds, size_t n,
+             double *out)
+{
+    constexpr size_t W = kLockstepWidth;
+    constexpr size_t V = kLockstepVecs;
+    // Flint4's non-uniform grid is pre-scaled per lane; the uniform
+    // int grids are reached from a reciprocal estimate instead.
+    constexpr bool kFlint = T == NormalType::Flint4;
+    const double max_mag = g.normalMags.back();
+    std::array<double, W> s{}, thr{};
+    Lanes sv{}, inv{}, acc{};
+    // A value passes flint midpoint j when |v| > above[j] for v >= 0
+    // and when |v| >= mid * s, i.e. |v| > atOrAbove[j] (the double just
+    // below), for v < 0: ties round toward the lower value, as in
+    // NormalCodec.  Passing it adds rise[j] to the decoded magnitude;
+    // the rises are differences of consecutive decoded floats, so
+    // their running sums are exact and land on the decoded values.
+    std::array<Lanes, kFlintMids> above{}, atOrAbove{}, rise{};
+    for (size_t c = 0; c < W; ++c) {
+        const size_t src = c < n ? c : 0;
+        OLIVE_ASSERT(scales[src] > 0.0f && std::isfinite(scales[src]) &&
+                         thresholds[src] > 0.0,
+                     "lockstep candidates need a positive scale and "
+                     "threshold");
+        s[c] = scales[src];
+        thr[c] = thresholds[src];
+        sv[c / 2][c % 2] = s[c];
+        inv[c / 2][c % 2] = 1.0 / s[c];
+        if constexpr (kFlint) {
+            double prev = 0.0;
+            for (size_t j = 0; j < kFlintMids; ++j) {
+                const double b = g.normalMids[j] * s[c];
+                const double q = static_cast<float>(
+                    g.normalMags[j + 1] * s[c]);
+                above[j][c / 2][c % 2] = b;
+                atOrAbove[j][c / 2][c % 2] = std::nextafter(b, 0.0);
+                rise[j][c / 2][c % 2] = q - prev;
+                prev = q;
+            }
+        }
+    }
+
+    // err = v - (v quantized on each lane's normal grid).
+    const auto normalErr = [&](float v, Lanes &err) {
+        const D2 a = splat(std::fabs(v));
+        const bool neg = v < 0.0f;
+        const D2 vd = splat(v);
+        for (size_t h = 0; h < V; ++h) {
+            D2 q;
+            if constexpr (kFlint) {
+                const auto &mids = neg ? atOrAbove : above;
+                q = D2{};
+                for (size_t j = 0; j < kFlintMids; ++j)
+                    q += pick(a > mids[j][h], rise[j][h], D2{});
+            } else {
+                // Uniform grid: y = a * (1 / s) is within 2^-44 of
+                // a / s once clamped to the range, so its nearest
+                // integer is the exact midpoint count unless y sits
+                // within 2^-30 of a midpoint.  There (ties included)
+                // one exact check on each side settles it.
+                const D2 top = splat(max_mag);
+                const D2 round = splat(0x1.8p52);
+                const D2 y = pick(a * inv[h] < top, a * inv[h], top);
+                D2 k = (y + round) - round;
+                const D2 dist = y - k;
+                const D2 edge = splat(0.5 - 0x1p-30);
+                const M2 near = (dist > edge) | (dist < -edge);
+                if (near[0] | near[1]) {
+                    const D2 half = splat(0.5);
+                    const D2 up = (k + half) * sv[h];
+                    const D2 dn = (k - half) * sv[h];
+                    const M2 past_up = neg ? (a >= up) : (a > up);
+                    const M2 past_dn = neg ? (a >= dn) : (a > dn);
+                    const M2 below_top = k < top;
+                    const M2 above_zero = k > D2{};
+                    k += pick(below_top & past_up, splat(1.0), D2{});
+                    k -= pick(above_zero & ~past_dn, splat(1.0), D2{});
+                }
+                const F2 qf = __builtin_convertvector(k * sv[h], F2);
+                q = __builtin_convertvector(qf, D2);
+            }
+            err[h] = vd - (neg ? -q : q);
+        }
+    };
+    // Outlier magnitude index of a on lane c: the midpoints at or below
+    // it (outlier ties round away from zero).
+    const auto outlierIndex = [&](double a, size_t c) {
+        size_t lo = 0;
+        size_t hi = g.outlierMids.size();
+        while (lo < hi) {
+            const size_t mid = (lo + hi) / 2;
+            if (a >= g.outlierMids[mid] * s[c])
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        return lo;
+    };
+
+    Lanes e1{}, e2{};
     const size_t pairs = (xs.size() + 1) / 2;
-    double acc = 0.0;
     for (size_t p = 0; p < pairs; ++p) {
         const float v1 = xs[2 * p];
         const bool has2 = 2 * p + 1 < xs.size();
         const float v2 = has2 ? xs[2 * p + 1] : 0.0f;
-        u32 c1, c2;
-        encodePair(v1, v2, c1, c2);
-        float q1, q2;
-        decodePair(c1, c2, q1, q2);
-        const double d1 = static_cast<double>(v1) - q1;
-        acc += d1 * d1;
+        normalErr(v1, e1);
+        if (has2)
+            normalErr(v2, e2);
+        // Under any threshold the pair holds an outlier iff its larger
+        // magnitude exceeds it; that value (the left one on a tie) is
+        // quantized on the abfloat grid and the other, the victim,
+        // decodes to 0.
+        const double a1 = std::fabs(v1);
+        const double a2 = std::fabs(v2);
+        const bool left = a1 >= a2;
+        const double amax = left ? a1 : a2;
+        const float vo = left ? v1 : v2;
+        const double vv = left ? v2 : v1;
+        Lanes &eo = left ? e1 : e2;
+        Lanes &ev = left ? e2 : e1;
+        for (size_t c = 0; c < W; ++c) {
+            if (amax > thr[c]) {
+                const float q = static_cast<float>(
+                    g.outlierMags[outlierIndex(amax, c)] * s[c]);
+                eo[c / 2][c % 2] =
+                    static_cast<double>(vo) - (vo < 0.0f ? -q : q);
+                ev[c / 2][c % 2] = vv;
+            }
+        }
+        for (size_t h = 0; h < V; ++h)
+            acc[h] += e1[h] * e1[h];
         if (has2) {
-            const double d2 = static_cast<double>(v2) - q2;
-            acc += d2 * d2;
+            for (size_t h = 0; h < V; ++h)
+                acc[h] += e2[h] * e2[h];
         }
     }
-    return acc / static_cast<double>(xs.size());
+    for (size_t c = 0; c < n; ++c) {
+        out[c] = xs.empty() ? 0.0
+                            : acc[c / 2][c % 2] /
+                                  static_cast<double>(xs.size());
+    }
+}
+
+} // namespace
+
+void
+ovpLockstepMse(NormalType t, std::span<const float> xs,
+               std::span<const float> scales,
+               std::span<const double> thresholds, std::span<double> out)
+{
+    OLIVE_ASSERT(scales.size() == thresholds.size() &&
+                     out.size() == scales.size(),
+                 "lockstep scorer needs one scale, threshold and output "
+                 "per candidate");
+    const LockstepGrid &g = lockstepGrid(t);
+    for (size_t c = 0; c < scales.size(); c += kLockstepWidth) {
+        const size_t n = std::min(kLockstepWidth, scales.size() - c);
+        const float *sc = scales.data() + c;
+        const double *th = thresholds.data() + c;
+        double *o = out.data() + c;
+        switch (t) {
+          case NormalType::Int4:
+            lockstepPass<NormalType::Int4>(g, xs, sc, th, n, o);
+            break;
+          case NormalType::Flint4:
+            lockstepPass<NormalType::Flint4>(g, xs, sc, th, n, o);
+            break;
+          case NormalType::Int8:
+            lockstepPass<NormalType::Int8>(g, xs, sc, th, n, o);
+            break;
+        }
+    }
 }
 
 } // namespace olive

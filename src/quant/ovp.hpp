@@ -96,12 +96,11 @@ enum class PairRole
  * Construction precomputes the decoded real value of every normal and
  * abfloat code under the fixed scale, so the per-pair hot paths are
  * table lookups.  The scale-independent parts (NormalCodec tables, the
- * abfloat decode/boundary tables and their verification) are cached per
- * type and only the two scaled value LUTs are filled per construction —
- * the calibration grid builds one codec per threshold candidate per KV
- * row, which made a full rebuild the dominant serving cost.  The
- * original per-scalar implementations are retained as *Reference()
- * oracles and are bit-identical to the fast paths
+ * abfloat decode/boundary tables and their verification) are built once
+ * per type for the life of the process and only the two scaled value
+ * LUTs are filled per construction — the KV cache builds one codec per
+ * encoded row.  The original per-scalar implementations are retained as
+ * *Reference() oracles and are bit-identical to the fast paths
  * (tests/test_kernels_oracle.cpp asserts this exhaustively).
  */
 class OvpCodec
@@ -156,6 +155,14 @@ class OvpCodec
     std::vector<u8> encode(std::span<const float> xs,
                            OvpStats *stats = nullptr) const;
 
+    /**
+     * encode() into a caller-owned buffer of exactly
+     * (xs.size() + 1) / 2 * bytesPerPair() bytes, without allocating
+     * (the per-row KV path encodes straight into its payload).
+     */
+    void encodeInto(std::span<const float> xs, std::span<u8> out,
+                    OvpStats *stats = nullptr) const;
+
     /** Decode @p count elements from a packed stream. */
     std::vector<float> decode(std::span<const u8> bytes, size_t count) const;
 
@@ -176,16 +183,6 @@ class OvpCodec
      */
     std::vector<float> fakeQuantReference(std::span<const float> xs,
                                           OvpStats *stats = nullptr) const;
-
-    /**
-     * Mean squared error of the fake-quantization round trip in one
-     * allocation-free pass: bit-identical to
-     * stats::mse(xs, fakeQuant(xs)) but without materializing either
-     * the byte stream or the round-tripped vector.  Runs serially — the
-     * accumulation order must match stats::mse exactly, and the
-     * calibration grid already parallelizes across candidates.
-     */
-    double fakeQuantMse(std::span<const float> xs) const;
 
     /**
      * The encodePair used by fakeQuantReference: search-based normal
@@ -242,11 +239,28 @@ class OvpCodec
     // between the i-th and (i+1)-th distinct representable abfloat
     // magnitudes; a magnitude in interval i (mag < bounds[i], >= the
     // previous) encodes as outlierCodes_[i].  outlierSign_ is the sign
-    // bit of the abfloat code space.
-    std::vector<double> outlierBounds_;
-    std::vector<u32> outlierCodes_;
+    // bit of the abfloat code space.  Both views point into the
+    // process-lifetime per-(type, bias) tables.
+    std::span<const double> outlierBounds_;
+    std::span<const u32> outlierCodes_;
     u32 outlierSign_ = 0;
 };
+
+/**
+ * Lockstep threshold scorer: the fake-quantization MSE of @p xs under
+ * every OVP configuration (@p t, scales[c], thresholds[c]) with the
+ * default abfloat bias, scored in one pass over @p xs with the
+ * candidate index innermost.  Each candidate keeps its own double
+ * accumulator in element order, so out[c] is bit-identical to
+ * stats::mse(xs, OvpCodec(t, scales[c], thresholds[c])
+ * .fakeQuantReference(xs)); no codec is built.  Serial: the calibration
+ * grid parallelizes across candidate groups.  An empty @p xs scores 0.
+ * @pre scales[c] > 0 and finite, thresholds[c] > 0, equal span sizes
+ */
+void ovpLockstepMse(NormalType t, std::span<const float> xs,
+                    std::span<const float> scales,
+                    std::span<const double> thresholds,
+                    std::span<double> out);
 
 } // namespace olive
 

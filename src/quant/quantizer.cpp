@@ -1,7 +1,9 @@
 #include "quantizer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -13,76 +15,101 @@ namespace olive {
 namespace {
 
 /**
- * Shared (type, threshold) grid sweep: every candidate scores
- * independently on the shared sample via @p score, and the winner is
- * reduced serially in grid order afterwards, which reproduces the
- * serial first-strictly-better rule exactly.  Invalid candidates carry
- * an infinite MSE and never win.
+ * Grid points of one type scored per lockstep call, one parallel task;
+ * the scorer's pass width, so no pass carries idle lanes but the last.
  */
-template <typename ScoreFn>
-QuantDecision
-gridSearch(const OliveConfig &config, std::span<const float> s,
-           const ScoreFn &score)
+constexpr size_t kGroup = 8;
+
+/** The normal types the search tries, in grid order; returns the count. */
+size_t
+searchTypes(const OliveConfig &config, std::array<NormalType, 2> &types)
 {
-    // Outlier-robust bulk sigma: on tensors whose outliers reach
-    // hundreds of sigma (OPT-6.7B activations), the plain standard
-    // deviation is inflated by the tail itself and would seed the
-    // search far above the bulk.
-    const double sigma = stats::robustSigma(s);
+    if (config.bits == 8) {
+        types[0] = NormalType::Int8;
+        return 1;
+    }
+    if (config.adaptiveType) {
+        types = {NormalType::Int4, NormalType::Flint4};
+        return 2;
+    }
+    types[0] = config.forcedType;
+    return 1;
+}
+
+/**
+ * Initial threshold from the 3-sigma rule (Sec. 3.4).  The sigma is
+ * outlier-robust: on tensors whose outliers reach hundreds of sigma
+ * (OPT-6.7B activations), the plain standard deviation is inflated by
+ * the tail itself and would seed the search far above the bulk.
+ * Degenerate near-constant tensors fall back to the absolute maximum.
+ */
+double
+initialThreshold(double sigma, std::span<const float> s)
+{
     const double amax = stats::absMax(s);
     OLIVE_ASSERT(amax > 0.0, "cannot calibrate an all-zero tensor");
+    return (sigma > 0.0) ? 3.0 * sigma : amax;
+}
 
-    // Initial threshold from the 3-sigma rule (Sec. 3.4); degenerate
-    // near-constant tensors fall back to the absolute maximum.
-    const double t0 = (sigma > 0.0) ? 3.0 * sigma : amax;
+/** Threshold of grid point @p i: a geometric sweep around 3 sigma. */
+double
+gridThreshold(const OliveConfig &config, double t0, size_t i)
+{
+    const double frac = static_cast<double>(i) /
+                        static_cast<double>(config.searchPoints - 1);
+    const double mult = config.searchLo *
+                        std::pow(config.searchHi / config.searchLo, frac);
+    return t0 * mult;
+}
 
-    std::vector<NormalType> types;
-    if (config.bits == 8) {
-        types = {NormalType::Int8};
-    } else if (config.adaptiveType) {
-        types = {NormalType::Int4, NormalType::Flint4};
-    } else {
-        types = {config.forcedType};
-    }
+/** The candidate (without its MSE) at threshold @p thr for type @p t. */
+QuantDecision
+candidate(NormalType t, double thr)
+{
+    QuantDecision c;
+    c.normal = t;
+    c.threshold = thr;
+    c.scale = static_cast<float>(thr / maxNormalMagnitude(t));
+    c.mse = std::numeric_limits<double>::infinity();
+    return c;
+}
 
-    const size_t points = static_cast<size_t>(config.searchPoints);
-    std::vector<QuantDecision> grid(types.size() * points);
-    par::parallelFor(0, grid.size(), 1, [&](size_t cb, size_t ce) {
-        for (size_t idx = cb; idx < ce; ++idx) {
-            QuantDecision cand;
-            cand.mse = std::numeric_limits<double>::infinity();
-            grid[idx] = cand;
+/** A candidate whose scale underflowed or overflowed is never scored. */
+bool
+scorable(const QuantDecision &c)
+{
+    return c.scale > 0.0f && std::isfinite(c.scale);
+}
 
-            const NormalType type = types[idx / points];
-            const size_t i = idx % points;
-            const int max_mag = maxNormalMagnitude(type);
-            const double frac = static_cast<double>(i) /
-                                static_cast<double>(points - 1);
-            // Geometric sweep of the threshold around 3 sigma.
-            const double mult =
-                config.searchLo *
-                std::pow(config.searchHi / config.searchLo, frac);
-            cand.threshold = t0 * mult;
-            cand.scale = static_cast<float>(cand.threshold / max_mag);
-            if (cand.scale <= 0.0f || !std::isfinite(cand.scale))
-                continue;
-
-            cand.normal = type;
-            OvpCodec codec(type, cand.scale, cand.threshold);
-            cand.mse = score(codec, s);
-            grid[idx] = cand;
-        }
-    });
-
+/**
+ * The serial first-strictly-better rule over the grid in (type, point)
+ * order; invalid candidates carry an infinite MSE and never win.
+ */
+template <typename CandidateAt>
+QuantDecision
+pickBest(size_t n, const CandidateAt &at)
+{
     QuantDecision best;
     best.mse = std::numeric_limits<double>::infinity();
-    for (const QuantDecision &c : grid) {
+    for (size_t idx = 0; idx < n; ++idx) {
+        const QuantDecision c = at(idx);
         if (c.mse < best.mse)
             best = c;
     }
     OLIVE_ASSERT(std::isfinite(best.mse), "calibration found no candidate");
     return best;
 }
+
+/**
+ * Per-thread buffers of calibrate(), reused across calls so the
+ * per-row KV path allocates nothing once warm.
+ */
+struct CalibrateScratch
+{
+    std::vector<float> select;      //!< robustSigma's selection buffer.
+    std::vector<double> thresholds; //!< Per grid point.
+    std::vector<double> mse;        //!< Per (type, grid point).
+};
 
 } // namespace
 
@@ -122,29 +149,92 @@ OliveQuantizer::calibrate(std::span<const float> xs) const
     OLIVE_ASSERT(!xs.empty(), "cannot calibrate on empty data");
     // Under the cap, sample(xs) would return a verbatim copy — score
     // the input span directly instead (per-row KV calibration lands
-    // here for every appended token, so the copy was hot).
-    const std::vector<float> s =
+    // here for every appended token).
+    const std::vector<float> sampled =
         xs.size() <= config_.sampleCap ? std::vector<float>() : sample(xs);
-    const std::span<const float> view = s.empty() ? xs : s;
-    // Fused scoring: one allocation-free value->codes->value MSE pass
-    // per candidate, bit-identical to the reference round trip.
-    return gridSearch(config_, view,
-                      [](const OvpCodec &codec, std::span<const float> ss) {
-                          return codec.fakeQuantMse(ss);
-                      });
+    const std::span<const float> s = sampled.empty() ? xs : sampled;
+
+    thread_local CalibrateScratch scratch;
+    if (scratch.select.size() < s.size())
+        scratch.select.resize(s.size());
+    const double t0 =
+        initialThreshold(stats::robustSigma(s, scratch.select), s);
+
+    std::array<NormalType, 2> types{};
+    const size_t n_types = searchTypes(config_, types);
+    const size_t points = static_cast<size_t>(config_.searchPoints);
+    scratch.thresholds.resize(points);
+    for (size_t i = 0; i < points; ++i)
+        scratch.thresholds[i] = gridThreshold(config_, t0, i);
+    scratch.mse.resize(n_types * points);
+
+    // Lockstep scoring: each task scores up to kGroup grid points of
+    // one type in a single pass over the sample (ovpLockstepMse),
+    // bit-identical to scoring each candidate's round trip on its own.
+    const size_t groups_per_type = (points + kGroup - 1) / kGroup;
+    const std::span<const double> thr = scratch.thresholds;
+    const std::span<double> mse = scratch.mse;
+    const auto score = [&](size_t gb, size_t ge) {
+        for (size_t g = gb; g < ge; ++g) {
+            const size_t ti = g / groups_per_type;
+            const size_t first = (g % groups_per_type) * kGroup;
+            const size_t last = std::min(points, first + kGroup);
+            const std::span<double> type_mse = mse.subspan(ti * points);
+            std::array<float, kGroup> sc{};
+            std::array<double, kGroup> th{}, out{};
+            std::array<size_t, kGroup> at{};
+            size_t n = 0;
+            for (size_t i = first; i < last; ++i) {
+                type_mse[i] = std::numeric_limits<double>::infinity();
+                const QuantDecision c = candidate(types[ti], thr[i]);
+                if (!scorable(c))
+                    continue;
+                sc[n] = c.scale;
+                th[n] = c.threshold;
+                at[n++] = i;
+            }
+            ovpLockstepMse(types[ti], s, std::span(sc).first(n),
+                           std::span(th).first(n), std::span(out).first(n));
+            for (size_t k = 0; k < n; ++k)
+                type_mse[at[k]] = out[k];
+        }
+    };
+    // A reference_wrapper fits std::function's inline storage, so the
+    // region allocates nothing.
+    par::parallelFor(0, n_types * groups_per_type, 1, std::cref(score));
+
+    return pickBest(n_types * points, [&](size_t idx) {
+        QuantDecision c = candidate(types[idx / points], thr[idx % points]);
+        c.mse = mse[idx];
+        return c;
+    });
 }
 
 QuantDecision
 OliveQuantizer::calibrateReference(std::span<const float> xs) const
 {
     OLIVE_ASSERT(!xs.empty(), "cannot calibrate on empty data");
+    // The oracle scorer: per candidate, build its codec, materialize
+    // the full round trip and score it with stats::mse.
     const std::vector<float> s = sample(xs);
-    // The pre-fusion scorer: materialize the full round trip per
-    // candidate and score it with stats::mse.
-    return gridSearch(config_, s,
-                      [](const OvpCodec &codec, std::span<const float> ss) {
-                          return stats::mse(ss, codec.fakeQuantReference(ss));
-                      });
+    const double t0 = initialThreshold(stats::robustSigma(s), s);
+    std::array<NormalType, 2> types{};
+    const size_t n_types = searchTypes(config_, types);
+    const size_t points = static_cast<size_t>(config_.searchPoints);
+    std::vector<QuantDecision> grid(n_types * points);
+    par::parallelFor(0, grid.size(), 1, [&](size_t cb, size_t ce) {
+        for (size_t idx = cb; idx < ce; ++idx) {
+            QuantDecision c = candidate(
+                types[idx / points],
+                gridThreshold(config_, t0, idx % points));
+            if (scorable(c)) {
+                const OvpCodec codec(c.normal, c.scale, c.threshold);
+                c.mse = stats::mse(s, codec.fakeQuantReference(s));
+            }
+            grid[idx] = c;
+        }
+    });
+    return pickBest(grid.size(), [&](size_t idx) { return grid[idx]; });
 }
 
 OvpCodec

@@ -56,15 +56,17 @@ class OliveQuantizer
 
     /**
      * Search the threshold (and normal type) minimizing sample MSE.
-     * Each grid candidate is scored with a single allocation-free MSE
-     * pass over the shared sample (OvpCodec::fakeQuantMse), so no
-     * per-candidate byte stream or round-trip vector is materialized.
+     * Each type's grid candidates are scored side by side in lockstep
+     * passes over the shared sample (ovpLockstepMse): no codec, byte
+     * stream or round-trip vector per candidate, and no allocation
+     * once the calling thread's buffers are warm (unless xs exceeds
+     * sampleCap and must be subsampled).
      * @pre xs is non-empty and not all zeros.
      */
     QuantDecision calibrate(std::span<const float> xs) const;
 
     /**
-     * The pre-fusion grid search: per candidate, a full fake-quant
+     * The reference grid search: per candidate, a full fake-quant
      * round trip (encode -> byte stream -> decode) scored with
      * stats::mse.  Retained as the decision oracle and the "before"
      * baseline of bench_micro_kernels; returns exactly the same

@@ -625,9 +625,9 @@ ServeEngine::step()
         }
     }
 
-    // Execute: requests are independent, so the batch parallelizes
-    // deterministically (forwardStep's inner parallel regions run
-    // inline on the worker).
+    // Execute in two phases.  Requests are independent — each one's
+    // work is a pure function of its own state — so neither the phase
+    // split nor the order within a phase can change a stream.
     std::vector<size_t> processed(active_.size(), 0);
     std::vector<size_t> gen_before(active_.size(), 0);
     std::vector<u64> drafted_before(active_.size(), 0);
@@ -643,12 +643,37 @@ ServeEngine::step()
     // can hold mu_ while the region runs), so extending the critical
     // section over them is sound — the stress tier runs this under
     // TSan to back the claim up.
+    //
+    // A request runs a slab when it pushes several rows through
+    // forwardChunk: a prefill chunk (chunking on) or a speculative
+    // verify slab (a decode-phase quota above one only comes from
+    // speculation).  With chunking off, a prefill quota is a loop of
+    // single rows.  Only a format that calibrates every row it encodes
+    // gains from running a slab alone (KvScheme::calibratesRows).
+    std::vector<char> slab(active_.size(), 0);
+    for (size_t i = 0; i < active_.size(); ++i) {
+        const ActiveRequest &a = active_[i];
+        const bool prefill = a.state.position < a.req.prompt.size();
+        slab[i] = scheme_->calibratesRows() && quota[i] > 1 &&
+                  (!prefill || cfg_.prefillChunk > 1);
+    }
+    // Phase 1: everything else fans out across the pool; its kernels
+    // are too small to split further and run inline on the worker.
     par::parallelFor(0, active_.size(), 1,
                      [&](size_t b, size_t e) OLIVE_REQUIRES(mu_) {
                          for (size_t i = b; i < e; ++i)
-                             processed[i] =
-                                 runRequest(active_[i], quota[i], step_no);
+                             if (quota[i] > 0 && !slab[i])
+                                 processed[i] = runRequest(
+                                     active_[i], quota[i], step_no);
                      });
+    // Phase 2: each slab runs alone at the top level, so its own
+    // parallel regions — the per-row KV encode in
+    // PagedKvCache::appendRows, the chunk attention over heads and the
+    // column-split GEMMs — get the whole pool instead of running inline
+    // inside a per-request chunk.
+    for (size_t i = 0; i < active_.size(); ++i)
+        if (slab[i])
+            processed[i] = runRequest(active_[i], quota[i], step_no);
 
     // Accounting (before eviction, so a finishing request's cache
     // counts toward this step's footprint).  The paged footprint is

@@ -123,13 +123,13 @@ OvpKvScheme::encodeRow(std::span<const float> row, std::vector<u8> &bytes,
     }
     const QuantDecision d = quantizer_.calibrate(row);
     const OvpCodec codec = quantizer_.makeCodec(d);
-    const std::vector<u8> enc = codec.encode(row);
-    OLIVE_ASSERT(enc.size() == rowBytes(row.size()),
-                 "OVP row payload size drifted from rowBytes()");
+    // Encode straight into the payload: no per-row staging vector.
+    const size_t off = bytes.size();
+    bytes.resize(off + rowBytes(row.size()));
+    codec.encodeInto(row, std::span<u8>(bytes).subspan(off));
     meta.scale = d.scale;
     meta.threshold = d.threshold;
     meta.normal = d.normal;
-    bytes.insert(bytes.end(), enc.begin(), enc.end());
 }
 
 void
@@ -410,10 +410,11 @@ PagedKvCache::appendRows(const Tensor &k, const Tensor &v)
     const size_t rb = pool_->rowBytes();
     // Rows encode to disjoint slots through a pure per-row codec, so
     // the fan-out is deterministic at any thread count and byte-equal
-    // to m sequential append() calls; with prefill chunks this is where
-    // the OVP calibration cost actually parallelizes.
+    // to m sequential append() calls.  ServeEngine::step runs a
+    // calibrating format's multi-row slabs at the top level, so their
+    // per-row calibration really spreads over the pool here.
     par::parallelFor(0, m, 1, [&](size_t bgn, size_t end) {
-        std::vector<u8> scratch;
+        thread_local std::vector<u8> scratch; // capacity reused per row
         for (size_t i = bgn; i < end; ++i) {
             const size_t pos = start + i;
             const u32 id = table_[pos / B];

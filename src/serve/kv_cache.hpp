@@ -85,6 +85,16 @@ class KvScheme
 
     /** True when decodeRow(encodeRow(x)) == x bitwise. */
     virtual bool lossless() const { return false; }
+
+    /**
+     * True when encodeRow searches the row's own quantization
+     * parameters, which costs far more than the row's share of the
+     * forward pass.  ServeEngine::step runs a multi-row slab of such a
+     * format alone at the top level, so its row encodes fan out over
+     * the pool; a cheap encode would not repay giving up the
+     * across-request split.
+     */
+    virtual bool calibratesRows() const { return false; }
 };
 
 /** FP32 passthrough: 4 bytes/element, bit-exact round trip. */
@@ -129,6 +139,7 @@ class OvpKvScheme : public KvScheme
      * (KvScheme.OvpDecodeIsThresholdIndependent asserts this).
      */
     size_t metaBytesPerRow() const override { return 5; }
+    bool calibratesRows() const override { return true; }
 
   private:
     OliveQuantizer quantizer_;
@@ -150,6 +161,7 @@ class Int8KvScheme : public KvScheme
     size_t rowBytes(size_t d) const override { return d; }
     /** scale (4). */
     size_t metaBytesPerRow() const override { return 4; }
+    bool calibratesRows() const override { return true; }
 };
 
 /** KV cache storage formats selectable by drivers and the engine. */

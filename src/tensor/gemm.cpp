@@ -13,6 +13,15 @@ namespace {
 /** Rows per parallel chunk (matmulReference also blocks l by it). */
 constexpr size_t kBlock = 64;
 
+/** Columns per parallel chunk when a single row chunk splits by column. */
+constexpr size_t kColBlock = 32;
+
+/**
+ * Multiply-adds below which a single row chunk stays whole: waking the
+ * pool costs more than a d = 128 GEMV saves (a few microseconds).
+ */
+constexpr size_t kColSplitMacs = size_t{1} << 18;
+
 /** Elements per parallel chunk of axpy. */
 constexpr size_t kAxpyGrain = 1u << 14;
 
@@ -80,15 +89,15 @@ rowDotTile(const V2d *ad, const float *const (&w)[2 * Q], size_t k,
 }
 
 /**
- * C rows [i, i + R) of A * W^T (+ bias), swept over all n columns in
- * rowDotTile<R, Q> tiles with eight accumulator pairs (at most four
- * column pairs: a single row is bound by W's widening, not by chains).
- * @p ad is scratch for R * k pairs.
+ * C rows [i, i + R) of A * W^T (+ bias), swept over columns [j0, j1) of
+ * n in rowDotTile<R, Q> tiles with eight accumulator pairs (at most
+ * four column pairs: a single row is bound by W's widening, not by
+ * chains).  @p ad is scratch for R * k pairs.
  */
 template <size_t R>
 void
 rowDotRows(const float *pa, const float *pw, const float *bias, size_t i,
-           size_t k, size_t n, float *pc, V2d *ad)
+           size_t k, size_t n, size_t j0, size_t j1, float *pc, V2d *ad)
 {
     constexpr size_t Q = std::min<size_t>(4, 8 / R);
     for (size_t l = 0; l < k; ++l) {
@@ -103,8 +112,8 @@ rowDotRows(const float *pa, const float *pw, const float *bias, size_t i,
         float &out = pc[(i + r) * n + j];
         out = bias ? static_cast<float>(v) + bias[j] : static_cast<float>(v);
     };
-    size_t j = 0;
-    for (; j + 2 * Q <= n; j += 2 * Q) {
+    size_t j = j0;
+    for (; j + 2 * Q <= j1; j += 2 * Q) {
         const float *w[2 * Q];
         for (size_t c = 0; c < 2 * Q; ++c)
             w[c] = pw + (j + c) * k;
@@ -117,8 +126,8 @@ rowDotRows(const float *pa, const float *pw, const float *bias, size_t i,
             }
         }
     }
-    for (; j < n; j += 2) {
-        const bool pair = j + 1 < n;
+    for (; j < j1; j += 2) {
+        const bool pair = j + 1 < j1;
         const float *w[2] = {pw + j * k, pw + (pair ? j + 1 : j) * k};
         V2d t[R][1];
         rowDotTile<R, 1>(ad, w, k, t);
@@ -135,9 +144,13 @@ rowDotRows(const float *pa, const float *pw, const float *bias, size_t i,
  * W(n,k)^T [+ bias], reading W's rows in place (they are already
  * unit-stride in l, so W is never transposed or copied).  Rows go in
  * kBlock-row parallel chunks, each cut into 8-, 4-, 2- and 1-row
- * register tiles; every output element is one double chain over
- * ascending l, so the result is bit-identical to matmulTransBReference
- * at any row count, tile split and thread count.
+ * register tiles.  A call with a single row chunk but enough work,
+ * made at the top level of a multi-thread pool (a prefill chunk run
+ * alone by ServeEngine::step), splits its columns into kColBlock-column
+ * chunks instead, so it still fans out.  Every output element is one
+ * double chain over ascending l, so the result is bit-identical to
+ * matmulTransBReference at any row count, tile or column split and
+ * thread count.
  */
 Tensor
 rowDotKernel(const Tensor &a, const Tensor &w, const float *bias)
@@ -148,25 +161,35 @@ rowDotKernel(const Tensor &a, const Tensor &w, const float *bias)
     const float *pw = w.raw();
     float *pc = c.raw();
 
-    par::parallelFor(0, m, kBlock, [&](size_t r0, size_t r1) {
+    const auto block = [&](size_t r0, size_t r1, size_t j0, size_t j1) {
         std::vector<V2d> ad(std::min<size_t>(8, r1 - r0) * k);
         for (size_t i = r0; i < r1;) {
             const size_t left = r1 - i;
             if (left >= 8) {
-                rowDotRows<8>(pa, pw, bias, i, k, n, pc, ad.data());
+                rowDotRows<8>(pa, pw, bias, i, k, n, j0, j1, pc, ad.data());
                 i += 8;
             } else if (left >= 4) {
-                rowDotRows<4>(pa, pw, bias, i, k, n, pc, ad.data());
+                rowDotRows<4>(pa, pw, bias, i, k, n, j0, j1, pc, ad.data());
                 i += 4;
             } else if (left >= 2) {
-                rowDotRows<2>(pa, pw, bias, i, k, n, pc, ad.data());
+                rowDotRows<2>(pa, pw, bias, i, k, n, j0, j1, pc, ad.data());
                 i += 2;
             } else {
-                rowDotRows<1>(pa, pw, bias, i, k, n, pc, ad.data());
+                rowDotRows<1>(pa, pw, bias, i, k, n, j0, j1, pc, ad.data());
                 i += 1;
             }
         }
-    });
+    };
+    if (m <= kBlock && m * n * k >= kColSplitMacs &&
+        par::threadCount() > 1 && !par::inParallelRegion()) {
+        par::parallelFor(0, n, kColBlock, [&](size_t j0, size_t j1) {
+            block(0, m, j0, j1);
+        });
+    } else {
+        par::parallelFor(0, m, kBlock, [&](size_t r0, size_t r1) {
+            block(r0, r1, 0, n);
+        });
+    }
     return c;
 }
 

@@ -354,7 +354,11 @@ parallelFor(size_t begin, size_t end, size_t grain,
         grain = 1;
     // Nested regions run serially on the issuing thread: same chunks,
     // same results, no deadlock (the enclosing region holds the pool).
-    if (tls_in_region) {
+    // A single-chunk region runs there too without taking the pool's
+    // lock, so a caller may start one while holding a lock that pool
+    // chunks also take (the decoded-block cache decodes a row under
+    // its fill mutex) without ordering that lock against the pool's.
+    if (tls_in_region || chunkCount(begin, end, grain) <= 1) {
         runChunksSerial(begin, end, grain, fn);
         return;
     }

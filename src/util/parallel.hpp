@@ -25,7 +25,8 @@
  * parallelFor() issued from inside another parallelFor chunk (nested
  * parallelism — on a worker or on the participating caller) runs
  * serially on the issuing thread, so composed parallel code cannot
- * deadlock or oversubscribe.
+ * deadlock or oversubscribe.  A single-chunk parallelFor() runs the
+ * same way and never touches the pool or its lock.
  *
  * Do not OLIVE_FATAL inside a parallel kernel: fatal() runs static
  * destructors from the calling thread, and a worker cannot join itself.

@@ -63,13 +63,23 @@ outlierRatio(std::span<const float> xs, double k_sigma)
 double
 robustSigma(std::span<const float> xs)
 {
+    std::vector<float> scratch(xs.size());
+    return robustSigma(xs, scratch);
+}
+
+double
+robustSigma(std::span<const float> xs, std::span<float> scratch)
+{
     if (xs.size() < 2)
         return 0.0;
-    std::vector<float> absdev(xs.size());
-    const double med = percentile(xs, 50.0);
+    OLIVE_ASSERT(scratch.size() >= xs.size(),
+                 "robustSigma scratch too small");
+    const std::span<float> v = scratch.first(xs.size());
+    std::copy(xs.begin(), xs.end(), v.begin());
+    const double med = percentileInPlace(v, 50.0);
     for (size_t i = 0; i < xs.size(); ++i)
-        absdev[i] = static_cast<float>(std::fabs(xs[i] - med));
-    return percentile(absdev, 50.0) / 0.6745;
+        v[i] = static_cast<float>(std::fabs(xs[i] - med));
+    return percentileInPlace(v, 50.0) / 0.6745;
 }
 
 double
@@ -130,9 +140,15 @@ geomean(std::span<const double> xs)
 double
 percentile(std::span<const float> xs, double p)
 {
-    OLIVE_ASSERT(!xs.empty(), "percentile of empty span");
-    OLIVE_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range");
     std::vector<float> v(xs.begin(), xs.end());
+    return percentileInPlace(v, p);
+}
+
+double
+percentileInPlace(std::span<float> v, double p)
+{
+    OLIVE_ASSERT(!v.empty(), "percentile of empty span");
+    OLIVE_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range");
     const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
     const size_t lo = static_cast<size_t>(rank);
     const size_t hi = std::min(lo + 1, v.size() - 1);

@@ -34,6 +34,13 @@ double outlierRatio(std::span<const float> xs, double k_sigma);
  */
 double robustSigma(std::span<const float> xs);
 
+/**
+ * robustSigma() selecting in @p scratch (at least xs.size() floats)
+ * instead of allocating; the same value.  The per-row KV calibration
+ * reuses one buffer across rows.
+ */
+double robustSigma(std::span<const float> xs, std::span<float> scratch);
+
 /** Mean squared error between two equally sized spans. */
 double mse(std::span<const float> a, std::span<const float> b);
 
@@ -52,6 +59,9 @@ double geomean(std::span<const double> xs);
 
 /** p-th percentile (0..100) via linear interpolation on a sorted copy. */
 double percentile(std::span<const float> xs, double p);
+
+/** percentile() selecting in place: reorders @p v, allocates nothing. */
+double percentileInPlace(std::span<float> v, double p);
 
 /** Pearson correlation coefficient of two equally sized spans. */
 double pearson(std::span<const float> a, std::span<const float> b);

@@ -10,12 +10,15 @@
  *  - OvpCodec: all code pairs through decodePair for both abfloat
  *    widths, dense outlier quantization sweeps, and full-tensor
  *    encode/decode/fakeQuant round trips against the pre-LUT reference.
- *  - OliveQuantizer: fakeQuantMse == stats::mse(s, fakeQuant(s)) and
- *    calibrate() decision == calibrateReference() decision.
+ *  - OliveQuantizer: the lockstep grid scorer's per-candidate MSE ==
+ *    stats::mse(s, fakeQuantReference(s)) bitwise, on adversarial
+ *    rows too, and calibrate() decision == calibrateReference()
+ *    decision.
  *  - GEMM: tiled matmul and row-dot matmulTransB/linearForward bytewise
  *    against the untiled references, including the serving weight
- *    shapes at every row-tile split and ragged n/k tails; parallel axpy
- *    against a serial loop.
+ *    shapes at every row-tile split and ragged n/k tails, and the
+ *    column split of small-m calls under a multi-thread pool; parallel
+ *    axpy against a serial loop.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +29,7 @@
 
 #include "quant/quantizer.hpp"
 #include "tensor/gemm.hpp"
+#include "util/parallel.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
 
@@ -205,11 +209,122 @@ TEST_P(OvpOracle, FakeQuantMseMatchesStatsMse)
         // "nothing is".
         for (const double threshold : {0.4, 2.0, 60.0}) {
             const OvpCodec codec(GetParam(), 0.31f, threshold);
-            const double fused = codec.fakeQuantMse(xs);
+            const float scale = codec.scale();
+            double fused = 0.0;
+            ovpLockstepMse(GetParam(), xs, std::span(&scale, 1),
+                           std::span(&threshold, 1), std::span(&fused, 1));
             const double ref = stats::mse(xs, codec.fakeQuant(xs));
             EXPECT_EQ(fused, ref) << "n=" << n << " thr=" << threshold;
         }
     }
+}
+
+/** Bitwise double comparison (EXPECT_EQ would accept -0.0 == 0.0). */
+bool
+bitEqual(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST_P(OvpOracle, LockstepMseMatchesReferenceOnAdversarialRows)
+{
+    const NormalType t = GetParam();
+    const double max_mag = maxNormalMagnitude(t);
+    // Midpoints of the normal grid and of the abfloat grid, in grid
+    // units: the values where the codec's rounding flips.
+    std::vector<double> mids, omids;
+    const std::vector<int> vals = valueTable(t);
+    for (size_t i = 0; i + 1 < vals.size(); ++i)
+        mids.push_back((vals[i] + vals[i + 1]) / 2.0);
+    const std::vector<i64> omags = outlierTypeFor(t).unsignedValueTable();
+    for (size_t i = 1; i + 1 < omags.size(); ++i)
+        omids.push_back(static_cast<double>(omags[i] + omags[i + 1]) / 2.0);
+
+    // Candidates: scales whose products with every midpoint are exact
+    // floats (so rows can sit exactly on them), an arbitrary scale and
+    // a subnormal one; thresholds on the grid (|x| can equal them), one
+    // ulp above it, and decoupled from it.  16 candidates span two
+    // lockstep passes.
+    const float exact_scales[] = {0.25f, 0.375f};
+    const float scales[] = {0.25f, 0.375f, 0.31f, 0x1p-140f};
+    std::vector<float> cand_scale;
+    std::vector<double> cand_thr;
+    for (const float sc : scales) {
+        const double on_grid = sc * max_mag;
+        for (const double thr :
+             {on_grid, std::nextafter(on_grid, 1e300), on_grid / 2.0,
+              on_grid * 3.0}) {
+            cand_scale.push_back(sc);
+            cand_thr.push_back(thr);
+        }
+    }
+
+    std::vector<std::vector<float>> rows;
+    std::vector<float> on_mids, on_thr, on_omids;
+    for (const float sc : exact_scales) {
+        for (const double m : mids) {
+            const auto v = static_cast<float>(m * sc);
+            for (const float x : {v, std::nextafter(v, 0.0f),
+                                  std::nextafter(v, 1e30f)}) {
+                on_mids.push_back(x);
+                on_mids.push_back(-x);
+            }
+        }
+        // |x| exactly at the on-grid threshold, paired with a smaller,
+        // an equal and an opposite-signed equal partner.
+        const auto thr = static_cast<float>(sc * max_mag);
+        on_thr.insert(on_thr.end(), {thr, 0.5f * thr, thr, thr, -thr, thr,
+                                     -thr, -thr, 0.5f * thr, -thr});
+        for (const double m : omids) {
+            const auto v = static_cast<float>(m * sc);
+            for (const float x : {v, std::nextafter(v, 0.0f),
+                                  std::nextafter(v, 1e30f)}) {
+                on_omids.push_back(x);
+                on_omids.push_back(-x);
+            }
+        }
+        // Beyond the 2^15 grid clip (Int8's E4M3 reaches past it).
+        for (const double g : {31744.0, 32768.0, 34816.0, 40000.0, 1e6}) {
+            on_omids.push_back(static_cast<float>(g * sc));
+            on_omids.push_back(static_cast<float>(-g * sc));
+        }
+    }
+    rows.push_back(on_mids);
+    rows.push_back(on_thr);
+    rows.push_back(on_omids);
+    // Equal-magnitude outlier pairs and signed zeros.
+    rows.push_back({9.0f, -9.0f, -9.0f, 9.0f, 9.0f, 9.0f, 80.0f, -80.0f,
+                    0.0f, -0.0f, -0.0f, 0.0f, -0.0f, 50.0f, 50.0f, -0.0f,
+                    -0.0f, -0.0f});
+    // Subnormals, alone and beside normal values.
+    rows.push_back({0x1p-149f, -0x1p-149f, 0x1p-140f, -0x1.8p-139f,
+                    0x1p-137f, -0x1p-136f, 0x1.4p-133f, 0x1p-126f, 0.3f,
+                    -0x1p-145f});
+    // Seeded heavy-tailed rows at serving widths.
+    for (const size_t n : {127ul, 128ul, 256ul})
+        rows.push_back(heavyTailData(n, 41 + n, 0.05));
+
+    std::vector<double> out(cand_scale.size());
+    const auto check = [&](std::span<const float> xs, const char *what) {
+        ovpLockstepMse(t, xs, cand_scale, cand_thr, out);
+        for (size_t c = 0; c < cand_scale.size(); ++c) {
+            const OvpCodec codec(t, cand_scale[c], cand_thr[c]);
+            const double ref =
+                stats::mse(xs, codec.fakeQuantReference(xs));
+            EXPECT_TRUE(bitEqual(out[c], ref))
+                << what << " n=" << xs.size() << " candidate " << c
+                << ": " << out[c] << " vs " << ref;
+        }
+    };
+    for (const auto &row : rows) {
+        check(row, "row");
+        // Odd lengths leave a lone padded value in the last pair.
+        check(std::span(row).first(row.size() - 1), "odd prefix");
+        for (size_t i = 0; i < row.size(); i += 7)
+            check(std::span(row).subspan(i, 1), "d=1");
+    }
+    ovpLockstepMse(t, {}, cand_scale, cand_thr, out);
+    EXPECT_EQ(out[0], 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTypes, OvpOracle, ::testing::ValuesIn(kAllTypes),
@@ -239,6 +354,48 @@ TEST(CalibrateOracle, DecisionMatchesReferenceGrid)
         EXPECT_EQ(fast.threshold, ref.threshold);
         EXPECT_EQ(fast.mse, ref.mse);
     }
+}
+
+TEST(CalibrateOracle, DecisionMatchesReferenceOnKvRows)
+{
+    // The per-row shapes serving calibrates (KV rows), across outlier
+    // densities and scales, plus one tensor past sampleCap.
+    OliveConfig c4;
+    OliveConfig c8;
+    c8.bits = 8;
+    OliveConfig forced;
+    forced.adaptiveType = false;
+    forced.forcedType = NormalType::Flint4;
+    const auto expectSame = [](const QuantDecision &fast,
+                               const QuantDecision &ref,
+                               const std::string &what) {
+        EXPECT_EQ(fast.normal, ref.normal) << what;
+        EXPECT_EQ(fast.scale, ref.scale) << what;
+        EXPECT_EQ(fast.threshold, ref.threshold) << what;
+        EXPECT_TRUE(bitEqual(fast.mse, ref.mse)) << what;
+    };
+    size_t rows = 0;
+    u64 seed = 1000;
+    for (const OliveConfig &config : {c4, c8, forced}) {
+        const OliveQuantizer q(config);
+        for (const size_t d : {1ul, 2ul, 127ul, 128ul, 256ul}) {
+            for (size_t r = 0; r < 70; ++r) {
+                const double frac = (r % 4) * 0.04;
+                const double sigma = 0.01 * static_cast<double>(1 + r % 7);
+                const auto xs =
+                    heavyTailData(d, ++seed, frac, sigma, 60.0 * sigma);
+                expectSame(q.calibrate(xs), q.calibrateReference(xs),
+                           "bits=" + std::to_string(config.bits) +
+                               " d=" + std::to_string(d) +
+                               " seed=" + std::to_string(seed));
+                ++rows;
+            }
+        }
+        const auto big = heavyTailData(config.sampleCap * 2 + 6, ++seed);
+        expectSame(q.calibrate(big), q.calibrateReference(big),
+                   "past sampleCap");
+    }
+    EXPECT_GE(rows, 1000u);
 }
 
 TEST(CalibrateOracle, PercentileSelectionMatchesSortedDefinition)
@@ -393,6 +550,22 @@ TEST(GemmOracle, RowDotRaggedTailsMatchReference)
     };
     for (const auto &s : shapes)
         expectRowDotMatchesReference(s[0], s[1], s[2]);
+}
+
+TEST(GemmOracle, ColumnSplitMatchesReference)
+{
+    // A single row chunk with enough work splits its columns over a
+    // multi-thread pool when called at the top level.  Pin a 4-thread
+    // pool so the split runs under every OLIVE_THREADS leg; ragged
+    // column blocks, odd n and 1..64 rows included.
+    par::setThreadCount(4);
+    const size_t shapes[][3] = {
+        {1, 256, 1024}, {5, 129, 1000}, {7, 128, 257}, {32, 128, 128},
+        {33, 131, 95}, {64, 128, 255},
+    };
+    for (const auto &s : shapes)
+        expectRowDotMatchesReference(s[0], s[1], s[2]);
+    par::setThreadCount(0);
 }
 
 TEST(GemmOracle, RowDotKeepsAscendingOrderUnderCancellation)

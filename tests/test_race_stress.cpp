@@ -3,7 +3,7 @@
  * Concurrency stress tier (CTest label "race"): hammers every
  * cross-thread seam of the serving stack with real std::threads so the
  * TSan build has races to find and the mutex/atomic protocols have
- * witnesses.  Six seams, matching the documented lock inventory:
+ * witnesses.  Seven seams, matching the documented lock inventory:
  *
  *  1. DecodedBlockCache acquire/release churn over overlapping block
  *     ids, with a capacity cap small enough to force constant eviction
@@ -26,6 +26,11 @@
  *     submitter (multi-turn chat via finishedSnapshot), cancellers,
  *     and a snapshot poller watching the retention counters stay
  *     monotone and the pool accounting stay whole-block.
+ *  7. Prefill chunks that share a prefix with a live donor: each chunk
+ *     runs alone at the top level of step(), so its per-row KV encode
+ *     and chunk attention fan out over the pool while reading the
+ *     donor's shared blocks, and a snapshot poller hammers the
+ *     accessors — streams checked bit-identical to a serial reference.
  *
  * Functional assertions here are deliberately coarse (exact values are
  * checked by the serial suites); the point of this tier is that every
@@ -703,6 +708,92 @@ TEST(RaceStress, RetentionEvictionRacesSubmitCancelSnapshot)
     EXPECT_EQ(eng.retainedBlockCount(), 0u);
     EXPECT_EQ(eng.blockPool()->blocksInUse(), 0u);
     EXPECT_EQ(eng.blockPool()->retainedBlocks(), 0u);
+}
+
+// Seam 7: multi-row requests run at the top level of step(), so the
+// pool workers encode KV rows into the sharer's exclusive tail blocks
+// and read the donor's shared prefix blocks (block table, decoded-block
+// cache) while the poller takes the engine, pool and cache locks.
+TEST(RaceStress, SharedPrefixPrefillChunkRacesSnapshotAccessors)
+{
+    auto config = models::bertBase();
+    config.evalLayers = 2;
+    config.evalDModel = 24;
+    config.evalHeads = 4;
+    config.evalDFf = 48;
+    config.evalVocab = 64;
+    eval::LmModel lm;
+    lm.vocab = config.evalVocab;
+    lm.backbone = models::makeBackbone(config, 4321);
+    lm.backbone.causal = true;
+    lm.embedding = Tensor({lm.vocab, config.evalDModel});
+    Rng erng(0x4321ULL);
+    for (auto &v : lm.embedding.data())
+        v = static_cast<float>(erng.gaussian());
+
+    serve::ServeConfig cfg;
+    cfg.cacheFormat = serve::KvCacheFormat::Olive4;
+    cfg.maxBatchTokens = 16;
+    cfg.prefillChunk = 8;
+    cfg.blockRows = 4;
+    constexpr size_t kMaxNew = 4;
+
+    Rng rng(77);
+    std::vector<int> donor(24);
+    for (auto &tok : donor)
+        tok = static_cast<int>(rng.uniformInt(lm.vocab));
+    std::vector<std::vector<int>> sharers(3, donor);
+    for (auto &p : sharers)
+        for (size_t i = 0; i < 12; ++i)
+            p.push_back(static_cast<int>(rng.uniformInt(lm.vocab)));
+
+    // The donor prefills alone; the sharers arrive while it decodes.
+    const auto run = [&](serve::ServeEngine &eng) {
+        eng.submit(donor, 16);
+        while (eng.metricsSnapshot().tokensGenerated == 0)
+            eng.step();
+        for (const auto &p : sharers)
+            eng.submit(p, kMaxNew);
+    };
+    serve::ServeEngine ref(lm, cfg);
+    run(ref);
+    ref.runToCompletion();
+
+    serve::ServeEngine eng(lm, cfg);
+    run(eng);
+    std::atomic<bool> done{false};
+    std::thread poller([&] {
+        u64 last_steps = 0;
+        while (!done.load(std::memory_order_relaxed)) {
+            const serve::ServeMetrics m = eng.metricsSnapshot();
+            ASSERT_GE(m.steps, last_steps);
+            last_steps = m.steps;
+            for (u64 id : eng.activeIds())
+                (void)eng.activeState(id); // lookup only; no deref
+            (void)eng.pendingIds();
+            ASSERT_EQ(eng.blockPool()->bytesInUse() %
+                          eng.blockPool()->blockBytes(),
+                      0u);
+            eng.blockPool()->checkInvariants();
+            eng.decodedCache()->checkInvariants();
+            std::this_thread::yield();
+        }
+    });
+    eng.runToCompletion();
+    done.store(true, std::memory_order_relaxed);
+    poller.join();
+
+    ASSERT_EQ(eng.finishedCount(), 1 + sharers.size());
+    ASSERT_EQ(ref.finished().size(), 1 + sharers.size());
+    for (size_t i = 0; i < eng.finished().size(); ++i) {
+        EXPECT_EQ(eng.finished()[i].id, ref.finished()[i].id);
+        EXPECT_EQ(eng.finished()[i].generated, ref.finished()[i].generated);
+    }
+    // The sharers really skipped the donor's full blocks.
+    EXPECT_GE(eng.metricsSnapshot().sharedPrefillRowsSkipped,
+              sharers.size() * 20);
+    eng.blockPool()->checkInvariants();
+    EXPECT_EQ(eng.blockPool()->blocksInUse(), 0u);
 }
 
 } // namespace

@@ -883,6 +883,126 @@ TEST(ServeDeterminism, DecodeStepBitIdenticalAcrossThreadCounts)
     }
 }
 
+/** Greedy continuation by full-sequence recompute: the forward() oracle. */
+std::vector<int>
+forwardGreedy(const eval::LmModel &lm, std::vector<int> seq, size_t max_new)
+{
+    std::vector<int> out;
+    for (size_t i = 0; i < max_new; ++i) {
+        const Tensor lg = lm.logits(seq);
+        out.push_back(ops::argmaxRow(lg.row(lg.dim(0) - 1)));
+        seq.push_back(out.back());
+    }
+    return out;
+}
+
+/**
+ * The token-by-token, contiguous-cache oracle at one thread: every row
+ * goes through forwardStep, so no multi-row request ever reaches the
+ * engine's second phase.
+ */
+std::map<u64, std::vector<int>>
+stepwiseOracle(const eval::LmModel &lm, serve::KvCacheFormat fmt,
+               const std::vector<std::vector<int>> &prompts, size_t max_new)
+{
+    par::setThreadCount(1);
+    serve::ServeConfig cfg;
+    cfg.cacheFormat = fmt;
+    cfg.pagedCache = false;
+    cfg.prefillChunk = 1;
+    return serveWorkloadById(lm, cfg, prompts, max_new);
+}
+
+// A lone long prompt: its prefill chunks are the only multi-row work of
+// their steps, so they run at the top level of step() and their KV
+// encode and chunk attention fan out over the whole pool.
+TEST(ServeDeterminism, LoneLongPromptChunkBitIdenticalAcrossThreadCounts)
+{
+    ThreadCountGuard guard;
+    const eval::LmModel lm = tinyLm(82);
+    const std::vector<std::vector<int>> prompts =
+        randomPrompts(1, 1, lm.vocab, 16);
+    std::vector<int> prompt = prompts[0];
+    Rng rng(17);
+    while (prompt.size() < 45)
+        prompt.push_back(static_cast<int>(rng.uniformInt(lm.vocab)));
+    const size_t max_new = 4;
+    for (serve::KvCacheFormat fmt :
+         {serve::KvCacheFormat::Fp32, serve::KvCacheFormat::Olive4,
+          serve::KvCacheFormat::Olive8}) {
+        const auto oracle = stepwiseOracle(lm, fmt, {prompt}, max_new);
+        ASSERT_EQ(oracle.size(), 1u);
+        if (fmt == serve::KvCacheFormat::Fp32) {
+            EXPECT_EQ(oracle.begin()->second,
+                      forwardGreedy(lm, prompt, max_new));
+        }
+        serve::ServeConfig cfg;
+        cfg.cacheFormat = fmt;
+        cfg.maxBatchTokens = 16;
+        cfg.prefillChunk = 16;
+        for (size_t threads : {1u, 2u, 0u}) {
+            par::setThreadCount(threads);
+            serve::ServeMetrics m;
+            EXPECT_EQ(serveWorkloadById(lm, cfg, {prompt}, max_new, &m),
+                      oracle)
+                << static_cast<int>(fmt) << " threads=" << threads;
+            // 45 prompt rows in 16-row chunks: three multi-row steps.
+            EXPECT_EQ(m.steps, 3u + (max_new - 1));
+        }
+    }
+}
+
+// One step holding both kinds of work: a decoding request's single row
+// (phase 1, parallel across requests) and another request's prefill
+// chunk (phase 2, alone at the top level).
+TEST(ServeDeterminism, MixedDecodeAndPrefillStepBitIdentical)
+{
+    ThreadCountGuard guard;
+    const eval::LmModel lm = tinyLm(83);
+    std::vector<std::vector<int>> prompts = randomPrompts(3, 4, lm.vocab, 18);
+    Rng rng(19);
+    prompts[2].resize(30);
+    for (auto &t : prompts[2])
+        t = static_cast<int>(rng.uniformInt(lm.vocab));
+    const size_t max_new = 8;
+    for (serve::KvCacheFormat fmt :
+         {serve::KvCacheFormat::Fp32, serve::KvCacheFormat::Olive4,
+          serve::KvCacheFormat::Olive8}) {
+        const auto oracle = stepwiseOracle(lm, fmt, prompts, max_new);
+        if (fmt == serve::KvCacheFormat::Fp32) {
+            for (size_t i = 0; i < prompts.size(); ++i)
+                EXPECT_EQ(oracle.at(i + 1),
+                          forwardGreedy(lm, prompts[i], max_new));
+        }
+        serve::ServeConfig cfg;
+        cfg.cacheFormat = fmt;
+        cfg.maxBatchTokens = 12;
+        cfg.prefillChunk = 8;
+        for (size_t threads : {1u, 2u, 0u}) {
+            par::setThreadCount(threads);
+            serve::ServeEngine engine(lm, cfg);
+            // The short prompts reach decode before the long one
+            // arrives, so its chunks share steps with decode rows.
+            engine.submit(prompts[0], max_new);
+            engine.submit(prompts[1], max_new);
+            engine.step();
+            engine.step();
+            engine.submit(prompts[2], max_new);
+            const serve::ServeMetrics before = engine.metricsSnapshot();
+            engine.step();
+            const serve::ServeMetrics after = engine.metricsSnapshot();
+            EXPECT_EQ(after.tokensGenerated - before.tokensGenerated, 2u);
+            EXPECT_EQ(after.tokensProcessed - before.tokensProcessed, 12u);
+            engine.runToCompletion(1000);
+            std::map<u64, std::vector<int>> got;
+            for (const serve::FinishedRequest &f : engine.finished())
+                got[f.id] = f.generated;
+            EXPECT_EQ(got, oracle)
+                << static_cast<int>(fmt) << " threads=" << threads;
+        }
+    }
+}
+
 // ------------------------------------------------- metrics percentiles
 
 // The percentile accessors must be well-defined numbers at the edge
