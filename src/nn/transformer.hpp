@@ -35,7 +35,7 @@ namespace nn {
  * PerTensor calibrates each activation tensor as a whole (the PTQ
  * evaluation flow).  PerToken calibrates every (1, d) token row
  * independently — the only granularity an incremental decoder can
- * realize, since a step never sees future tokens.  forwardStep always
+ * realize, since a step never sees future tokens.  forwardChunk always
  * quantizes per token; forward(..., PerToken) is its bit-exact
  * full-sequence counterpart (see tests/test_decode_parity.cpp).
  */
@@ -82,33 +82,34 @@ struct Transformer
                    ActQuant act_granularity = ActQuant::PerTensor) const;
 
     /**
-     * Incremental decode: process ONE token row @p x_t (1, dModel)
-     * against the KV caches in @p state, appending this token's K/V
-     * per layer and attending over the cached prefix.  Requires a
-     * causal model.  With the FP32 cache scheme the returned row is
-     * bit-identical to row t of forward() over the same prefix
-     * (activation schemes quantize per token, matching
-     * forward(..., ActQuant::PerToken)); quantized cache schemes trade
-     * that exactness for cache bytes, measured by serve::cacheImpact.
-     */
-    Tensor forwardStep(const Tensor &x_t, serve::DecodeState &state,
-                       Scheme *act_scheme = nullptr) const;
-
-    /**
-     * Batched prefill: process @p x_rows (m, dModel) token rows in ONE
-     * pass against the KV caches in @p state — the m-row generalization
-     * of forwardStep, and bit-identical to m consecutive forwardStep
+     * Incremental forward, the one path every cached row takes: process
+     * @p x_rows (m, dModel) token rows in ONE pass against the KV
+     * caches in @p state — a prefill chunk, a decode token (m = 1) or
+     * a decode token plus speculative drafts.  Requires a causal model.
+     * Each layer bulk-appends all m K/V rows (KvCache::appendRows) and
+     * attends every row i over cached positions [0, pos0+i+1) via an
+     * intra-chunk causal mask, so the tiled GEMM kernels see an (m, d)
+     * batch instead of m (1, d) slivers.  Bit-identical to m one-row
      * calls over the same rows (tests/test_decode_parity.cpp:
-     * BatchedPrefillMatchesStepLoop).  Each layer bulk-appends all m
-     * K/V rows (KvCache::appendRows) and attends every row i over
-     * cached positions [0, pos0+i+1) via an intra-chunk causal mask, so
-     * the tiled GEMM kernels see an (m, d) batch instead of m (1, d)
-     * slivers.  Activations quantize per token (the only granularity a
-     * decoder can realize), matching forwardStep exactly.  Advances
-     * state.position by m; returns the (m, d) hidden rows.
+     * BatchedPrefillMatchesStepLoop).  Activations quantize per token
+     * (the only granularity a decoder can realize).  With the FP32
+     * cache scheme row i is bit-identical to row pos0+i of
+     * forward(..., ActQuant::PerToken) over the same prefix; quantized
+     * cache schemes trade that exactness for cache bytes, measured by
+     * serve::cacheImpact.  Advances state.position by m; returns the
+     * (m, d) hidden rows.
      */
     Tensor forwardChunk(const Tensor &x_rows, serve::DecodeState &state,
                         Scheme *act_scheme = nullptr) const;
+
+    /**
+     * forwardChunk on ONE token row @p x_t (1, dModel); asserts the
+     * shape and forwards.  Kept as a public name for callers that time
+     * or drive the single-row case (the serving benchmark's replay);
+     * it has no body of its own.
+     */
+    Tensor forwardStep(const Tensor &x_t, serve::DecodeState &state,
+                       Scheme *act_scheme = nullptr) const;
 
     /** Total parameter count. */
     size_t parameterCount() const;
@@ -131,25 +132,25 @@ Tensor selfAttention(const Tensor &x, const Layer &layer, size_t n_heads,
                      ActQuant act_granularity = ActQuant::PerTensor);
 
 /**
- * One-token self-attention over a KV cache, used by forwardStep: the
- * token's K/V rows are appended to @p cache (through its codec), then
- * the query attends over the decoded cache.  @p x is (1, d).
- */
-Tensor selfAttentionStep(const Tensor &x, const Layer &layer,
-                         size_t n_heads, serve::KvCache &cache,
-                         Scheme *act_scheme);
-
-/**
  * Chunked self-attention over a KV cache, used by forwardChunk: all m
- * rows of @p x (m, d) are bulk-appended to @p cache, then row i attends
- * over cached positions [0, pos0+i+1) — the intra-chunk causal mask —
- * where pos0 is the cache length before the call.  Bit-identical to m
- * selfAttentionStep calls (masked tail positions softmax to exact zero,
- * see attendRow's comment).
+ * rows of @p x (m, d) are bulk-appended to @p cache (through its
+ * codec), then row i attends over cached positions [0, pos0+i+1) —
+ * the intra-chunk causal mask — where pos0 is the cache length before
+ * the call.  Bit-identical to m one-row calls (masked tail positions
+ * softmax to exact zero, see attendRow's comment).
  */
 Tensor selfAttentionChunk(const Tensor &x, const Layer &layer,
                           size_t n_heads, serve::KvCache &cache,
                           Scheme *act_scheme);
+
+/**
+ * selfAttentionChunk on ONE row @p x (1, d); asserts the shape and
+ * forwards.  Kept as a public name for the serving benchmark's replay,
+ * which times the single-row attention; it has no body of its own.
+ */
+Tensor selfAttentionStep(const Tensor &x, const Layer &layer,
+                         size_t n_heads, serve::KvCache &cache,
+                         Scheme *act_scheme);
 
 } // namespace nn
 } // namespace olive

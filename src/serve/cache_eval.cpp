@@ -43,29 +43,27 @@ cacheImpact(const eval::LmModel &model, const eval::TokenData &text,
         // fuzz suite pins that bitwise), and the contiguous accounting
         // reports the codec's exact payload+meta bytes, free of paged
         // partial-block slack, which is what the compression() metric
-        // is meant to isolate.
+        // is meant to isolate.  One forwardChunk runs the whole
+        // sequence, bit-identical to feeding it token by token
+        // (BatchedPrefillMatchesStepLoop).
         DecodeState state = makeDecodeState(backbone, scheme);
-        Tensor x({1, d});
+        const Tensor h = backbone.forwardChunk(xfull, state);
+        const Tensor lg = model.logitsFromHidden(h);
         for (size_t t = 0; t < seq.size(); ++t) {
-            const auto row =
-                model.embedding.row(static_cast<size_t>(seq[t]));
-            std::copy(row.begin(), row.end(), x.row(0).begin());
-            const Tensor h = backbone.forwardStep(x, state);
             for (size_t j = 0; j < d; ++j) {
-                const double dv = static_cast<double>(h.row(0)[j]) -
+                const double dv = static_cast<double>(h.row(t)[j]) -
                                   static_cast<double>(href.row(t)[j]);
                 hid_se += dv * dv;
             }
             hid_count += d;
-            const Tensor lg = model.logitsFromHidden(h);
             for (size_t v = 0; v < model.vocab; ++v) {
-                const double dv = static_cast<double>(lg.row(0)[v]) -
+                const double dv = static_cast<double>(lg.row(t)[v]) -
                                   static_cast<double>(lgref.row(t)[v]);
                 lg_se += dv * dv;
             }
             lg_count += model.vocab;
             if (t + 1 < seq.size()) {
-                ce_sum += ops::crossEntropyRow(lg.row(0), seq[t + 1]);
+                ce_sum += ops::crossEntropyRow(lg.row(t), seq[t + 1]);
                 ++ce_count;
             }
         }

@@ -431,12 +431,6 @@ ServeEngine::runRequest(ActiveRequest &a, size_t ntok, u64 step_no) const
 {
     const size_t d = model_->backbone.dModel;
     const std::vector<int> &prompt = a.req.prompt;
-    size_t done = 0;
-    Tensor x({1, d});
-    const auto embedInto = [&](int tok, std::span<float> row) {
-        const auto trow = model_->embedding.row(static_cast<size_t>(tok));
-        std::copy(trow.begin(), trow.end(), row.begin());
-    };
     // Extend the generation greedily with @p next; returns true when
     // the request finished.  Generation ends at the budget or at any
     // stop token — the latter makes request lengths data-dependent, so
@@ -458,114 +452,91 @@ ServeEngine::runRequest(ActiveRequest &a, size_t ntok, u64 step_no) const
         }
         return a.done;
     };
+    // One loop, one forwardChunk call per turn.  A turn's slab is a
+    // chunk of prompt rows (prefill) or the feed token plus k drafts
+    // (decode; k = 0 without speculation).  Every row goes through the
+    // same incremental forward, so a slab of any height is
+    // bit-identical to feeding its rows one at a time.
+    size_t done = 0;
     while (done < ntok) {
         const size_t pos = a.state.position;
-        const size_t prompt_rem =
-            pos < prompt.size() ? prompt.size() - pos : 0;
-
-        // Batched prefill: push a (chunk, d) slab of prompt rows
-        // through forwardChunk in one pass — bit-identical to the
-        // token-by-token loop below (which prefillChunk <= 1 retains
-        // as the oracle), but the GEMMs see a real batch dimension.
-        if (prompt_rem > 1 && cfg_.prefillChunk > 1) {
+        std::vector<int> slab; // this turn's input tokens
+        size_t k = 0;          // speculative drafts at the slab's end
+        if (pos < prompt.size()) {
+            const size_t chunk = std::max<size_t>(cfg_.prefillChunk, 1);
             const size_t m = std::min(
-                {ntok - done, prompt_rem, cfg_.prefillChunk});
-            if (m > 1) {
-                Tensor rows({m, d});
-                for (size_t i = 0; i < m; ++i)
-                    embedInto(prompt[pos + i], rows.row(i));
-                const Tensor h = model_->backbone.forwardChunk(
-                    rows, a.state, cfg_.actScheme);
-                done += m;
-                if (pos + m < prompt.size())
-                    continue; // still mid-prefill: no logits needed yet
-                // The chunk ended on the final prompt token: its hidden
-                // row yields the first generated token, exactly as the
-                // step loop's final prefill iteration would.
-                std::copy(h.row(m - 1).begin(), h.row(m - 1).end(),
-                          x.row(0).begin());
-                const Tensor lg = model_->logitsFromHidden(x);
-                extend(ops::argmaxRow(lg.row(0)));
-                break; // one generation turn per step — autoregression
+                {ntok - done, prompt.size() - pos, chunk});
+            slab.assign(prompt.data() + pos, prompt.data() + pos + m);
+        } else {
+            slab.push_back(a.generated[pos - prompt.size()]);
+            if (cfg_.speculate && ntok - done >= 2 &&
+                a.generated.size() + 1 < a.req.maxNewTokens) {
+                // Speculative decode: draft likely continuations from
+                // the request's own history and verify them in this
+                // slab.  Row i's argmax is the TRUE next token whenever
+                // rows [0, i] were fed true stream tokens, so greedy
+                // accept/reject below reproduces plain decode
+                // bit-for-bit: the proposer only decides how many
+                // tokens this turn advances, never which ones.
+                // history = prompt + generated; the feed token
+                // history[pos] is its last element.
+                std::vector<int> history(prompt);
+                history.insert(history.end(), a.generated.begin(),
+                               a.generated.end());
+                const size_t cap =
+                    std::min({ntok - done - 1, cfg_.draftLen,
+                              a.req.maxNewTokens - a.generated.size() - 1});
+                std::vector<int> drafts = proposer_->propose(history, cap);
+                if (drafts.size() > cap)
+                    drafts.resize(cap); // a proposer may over-draft; clamp
+                k = drafts.size();
+                slab.insert(slab.end(), drafts.begin(), drafts.end());
             }
         }
-
-        // Speculative decode: draft likely continuations from the
-        // request's own history and verify them all in one batched
-        // forwardChunk call.  Row i's argmax is the TRUE next token
-        // whenever rows [0, i] were fed true stream tokens, so greedy
-        // accept/reject reproduces plain decode bit-for-bit: the
-        // proposer only decides how many tokens this turn advances,
-        // never which ones.
-        if (cfg_.speculate && prompt_rem == 0 && ntok - done >= 2 &&
-            a.generated.size() + 1 < a.req.maxNewTokens) {
-            // history = prompt + generated; the feed token history[pos]
-            // is its last element (decode-phase position invariant).
-            std::vector<int> history(prompt);
-            history.insert(history.end(), a.generated.begin(),
-                           a.generated.end());
-            const size_t cap =
-                std::min({ntok - done - 1, cfg_.draftLen,
-                          a.req.maxNewTokens - a.generated.size() - 1});
-            std::vector<int> drafts = proposer_->propose(history, cap);
-            if (drafts.size() > cap)
-                drafts.resize(cap); // a proposer may over-draft; clamp
-            if (!drafts.empty()) {
-                const size_t k = drafts.size();
-                Tensor rows({k + 1, d});
-                embedInto(history[pos], rows.row(0));
-                for (size_t i = 0; i < k; ++i)
-                    embedInto(drafts[i], rows.row(i + 1));
-                const Tensor h = model_->backbone.forwardChunk(
-                    rows, a.state, cfg_.actScheme);
-                // Batched vocab projection: rows are independent in
-                // matmulTransB, so each logits row is bit-identical to
-                // a per-step (1, d) projection.
-                const Tensor lg = model_->logitsFromHidden(h);
-                a.specDrafted += k;
-                done += k + 1; // every verify row costs full compute
-                size_t kept = 1; // row 0's feed is always a true token
-                for (size_t i = 0; i <= k; ++i) {
-                    const int next = ops::argmaxRow(lg.row(i));
-                    const bool matched = i < k && next == drafts[i];
-                    if (matched)
-                        ++a.specAccepted;
-                    if (extend(next) || !matched)
-                        break;
-                    ++kept; // row i+1 was fed the now-confirmed draft
-                }
-                // Roll back the rows fed with rejected (or post-stop)
-                // drafts, restoring cache length == position; the
-                // truncated rows live in exclusively owned tail blocks
-                // (every shareable prefix row precedes them), so no
-                // other request can be affected.
-                if (kept < k + 1) {
-                    const size_t new_len = pos + kept;
-                    for (auto &layer : a.state.layers)
-                        layer->truncate(new_len);
-                    a.state.position = new_len;
-                }
-                break; // one generation turn per step
-            }
+        const size_t n = slab.size();
+        Tensor rows({n, d});
+        for (size_t i = 0; i < n; ++i) {
+            const auto trow =
+                model_->embedding.row(static_cast<size_t>(slab[i]));
+            std::copy(trow.begin(), trow.end(), rows.row(i).begin());
         }
-
-        // Token-by-token path: mid-prefill rows when chunking is off
-        // (or the quota left m == 1), and the plain decode step.
-        const int tok = pos < prompt.size()
-                            ? prompt[pos]
-                            : a.generated[pos - prompt.size()];
-        embedInto(tok, x.row(0));
         const Tensor h =
-            model_->backbone.forwardStep(x, a.state, cfg_.actScheme);
-        ++done;
-        if (pos + 1 < prompt.size())
-            continue; // mid-prefill: no logits needed yet
-        // This was the last prompt token or a decode token: project to
-        // the vocabulary and extend the generation greedily.
-        const Tensor lg = model_->logitsFromHidden(h);
-        extend(ops::argmaxRow(lg.row(0)));
-        // Autoregression: the token just produced is the next step's
-        // input, so a request never decodes twice within one step.
+            model_->backbone.forwardChunk(rows, a.state, cfg_.actScheme);
+        done += n; // every verify row costs full compute
+        if (pos + n < prompt.size())
+            continue; // still mid-prompt: no logits needed yet
+
+        // The trailing k + 1 rows — the final prompt row, or the feed
+        // row and its drafts — each yield a candidate next token.  One
+        // batched vocab projection: rows are independent in
+        // matmulTransB, so each logits row is bit-identical to a
+        // (1, d) projection.
+        const auto tail = h.data().subspan((n - k - 1) * d);
+        const Tensor last({k + 1, d}, {tail.begin(), tail.end()});
+        const Tensor lg = model_->logitsFromHidden(last);
+        a.specDrafted += k;
+        size_t kept = 1; // row 0's feed is always a true token
+        for (size_t i = 0; i <= k; ++i) {
+            const int next = ops::argmaxRow(lg.row(i));
+            const bool matched = i < k && next == slab[n - k + i];
+            if (matched)
+                ++a.specAccepted;
+            if (extend(next) || !matched)
+                break;
+            ++kept; // row i+1 was fed the now-confirmed draft
+        }
+        // Roll back the rows fed with rejected (or post-stop) drafts,
+        // restoring cache length == position; the truncated rows live
+        // in exclusively owned tail blocks (every shareable prefix row
+        // precedes them), so no other request can be affected.
+        if (kept < k + 1) {
+            const size_t new_len = pos + kept;
+            for (auto &layer : a.state.layers)
+                layer->truncate(new_len);
+            a.state.position = new_len;
+        }
+        // Autoregression: the token just produced is the next turn's
+        // input, so a request generates at most one turn per step.
         break;
     }
     return done;

@@ -8,14 +8,14 @@
  * configurable per-step token budget (decode phase: one token, plus up
  * to draftLen speculative drafts; prefill phase: a chunk of the
  * remaining prompt — chunked prefill), and runs the assigned tokens
- * batched across requests with util/parallel.  Prompt chunks go
- * through nn::Transformer::forwardChunk as one (chunk, d) slab
- * (batched prefill); the token-by-token forwardStep loop is retained
- * as the parity oracle (prefillChunk <= 1).  With speculate on, a
- * pluggable Proposer drafts likely continuations that one forwardChunk
- * call verifies against the target logits — greedy accept/reject keeps
- * every stream bit-identical to plain decode, and rejected draft rows
- * roll back via KvCache::truncate before the step ends.  Finished
+ * batched across requests with util/parallel.  Every row a request
+ * runs goes through one path: each turn builds a slab — a chunk of
+ * prompt rows, or the decode feed token plus any speculative drafts —
+ * and pushes it through nn::Transformer::forwardChunk in one call.
+ * With speculate on, a pluggable Proposer supplies the drafts, and
+ * greedy accept/reject against the target logits keeps every stream
+ * bit-identical to plain decode; rejected draft rows roll back via
+ * KvCache::truncate before the step ends.  Finished
  * requests are evicted at the end of the step, releasing their
  * KV-cache blocks to the pool's free list without copying a byte.
  *
@@ -125,19 +125,20 @@ struct ServeConfig
 
     /**
      * Batched prefill: prompt rows per Transformer::forwardChunk call
-     * (capped by the step's token quota).  0 or 1 retains the
-     * token-by-token forwardStep loop — the bit-exactness oracle the
-     * parity sweep compares against.
+     * (capped by the step's token quota).  0 or 1 feeds the prompt as
+     * one-row slabs through the same loop — token-by-token prefill,
+     * the reference schedule the parity sweeps compare against.
      */
     size_t prefillChunk = 32;
 
     /**
      * Speculative decode: draft up to draftLen tokens per decode turn
      * (from @p proposer, or a default NgramProposer when null) and
-     * verify them in one forwardChunk call.  Greedy accept/reject
-     * against the target logits keeps the token streams bit-identical
-     * to speculate = false; rejected draft rows are rolled back
-     * (KvCache::truncate) before the next step.
+     * append them to the turn's slab behind the feed token, so the
+     * same forwardChunk call that decodes also verifies.  Greedy
+     * accept/reject against the target logits keeps the token streams
+     * bit-identical to speculate = false; rejected draft rows are
+     * rolled back (KvCache::truncate) before the next step.
      */
     bool speculate = false;
     size_t draftLen = 4;      //!< Max drafted tokens per decode turn.

@@ -355,6 +355,27 @@ PagedKvCache::~PagedKvCache()
 }
 
 void
+PagedKvCache::encodeSlot(u32 id, size_t slot, std::span<const float> k,
+                         std::span<const float> v)
+{
+    // The codec appends into a staging vector (its contract); the row
+    // is then placed into the block slot.  Same bytes per row as the
+    // contiguous layout by construction.
+    thread_local std::vector<u8> scratch; // capacity reused per row
+    const size_t rb = pool_->rowBytes();
+    const auto put = [&](std::span<const float> row, KvRowMeta &meta,
+                         u8 *dst) {
+        scratch.clear();
+        scheme_->encodeRow(row, scratch, meta);
+        OLIVE_ASSERT(scratch.size() == rb,
+                     "KV codec appended a payload of unexpected size");
+        std::memcpy(dst, scratch.data(), rb);
+    };
+    put(k, pool_->kMeta(id, slot), pool_->kRow(id, slot));
+    put(v, pool_->vMeta(id, slot), pool_->vRow(id, slot));
+}
+
+void
 PagedKvCache::append(std::span<const float> k, std::span<const float> v)
 {
     OLIVE_ASSERT(k.size() == d_ && v.size() == d_,
@@ -368,20 +389,7 @@ PagedKvCache::append(std::span<const float> k, std::span<const float> v)
     const u32 tail = table_.back();
     OLIVE_ASSERT(pool_->refcount(tail) == 1,
                  "appending into a shared block (tail must be exclusive)");
-    // The codec appends into a staging vector (its contract); the row
-    // is then placed into the block slot.  Same bytes per row as the
-    // contiguous layout by construction.
-    const size_t rb = pool_->rowBytes();
-    scratch_.clear();
-    scheme_->encodeRow(k, scratch_, pool_->kMeta(tail, slot));
-    OLIVE_ASSERT(scratch_.size() == rb,
-                 "KV codec appended a payload of unexpected size");
-    std::memcpy(pool_->kRow(tail, slot), scratch_.data(), rb);
-    scratch_.clear();
-    scheme_->encodeRow(v, scratch_, pool_->vMeta(tail, slot));
-    OLIVE_ASSERT(scratch_.size() == rb,
-                 "KV codec appended a payload of unexpected size");
-    std::memcpy(pool_->vRow(tail, slot), scratch_.data(), rb);
+    encodeSlot(tail, slot, k, v);
     ++rows_;
 }
 
@@ -407,28 +415,15 @@ PagedKvCache::appendRows(const Tensor &k, const Tensor &v)
         OLIVE_ASSERT(pool_->refcount(table_[b]) == 1,
                      "bulk-appending into a shared block (tail blocks "
                      "must be exclusive)");
-    const size_t rb = pool_->rowBytes();
     // Rows encode to disjoint slots through a pure per-row codec, so
     // the fan-out is deterministic at any thread count and byte-equal
     // to m sequential append() calls.  ServeEngine::step runs a
     // calibrating format's multi-row slabs at the top level, so their
     // per-row calibration really spreads over the pool here.
     par::parallelFor(0, m, 1, [&](size_t bgn, size_t end) {
-        thread_local std::vector<u8> scratch; // capacity reused per row
         for (size_t i = bgn; i < end; ++i) {
             const size_t pos = start + i;
-            const u32 id = table_[pos / B];
-            const size_t slot = pos % B;
-            scratch.clear();
-            scheme_->encodeRow(k.row(i), scratch, pool_->kMeta(id, slot));
-            OLIVE_ASSERT(scratch.size() == rb,
-                         "KV codec appended a payload of unexpected size");
-            std::memcpy(pool_->kRow(id, slot), scratch.data(), rb);
-            scratch.clear();
-            scheme_->encodeRow(v.row(i), scratch, pool_->vMeta(id, slot));
-            OLIVE_ASSERT(scratch.size() == rb,
-                         "KV codec appended a payload of unexpected size");
-            std::memcpy(pool_->vRow(id, slot), scratch.data(), rb);
+            encodeSlot(table_[pos / B], pos % B, k.row(i), v.row(i));
         }
     });
     rows_ += m;

@@ -14,7 +14,7 @@
  * stream; only the transient working set is FP32.
  *
  * Formats: FP32 passthrough (bit-exact — the decode-parity contract of
- * nn::Transformer::forwardStep is stated against it), OVP at 4 or 8
+ * nn::Transformer::forwardChunk is stated against it), OVP at 4 or 8
  * bits (per-row OliveQuantizer calibration, the paper's method), and a
  * symmetric per-row int8 baseline (the standard "KV cache in int8"
  * deployment, no outlier mechanism).
@@ -389,6 +389,11 @@ class PagedKvCache final : public KvCache
     BlockPool &pool() const { return *pool_; }
 
   private:
+    /** Shared body of append/appendRows: encode one K/V row pair into
+     *  slot @p slot of block @p id. */
+    void encodeSlot(u32 id, size_t slot, std::span<const float> k,
+                    std::span<const float> v);
+
     /** Shared body of decodeK/decodeV: walk the block table. */
     void decodePlane(bool k_plane, Tensor &out) const;
 
@@ -396,7 +401,6 @@ class PagedKvCache final : public KvCache
     DecodedBlockCache *dcache_; //!< Optional; engine-owned, shared.
     std::vector<u32> table_;
     size_t rows_ = 0;
-    std::vector<u8> scratch_; //!< Encode staging for one row.
 };
 
 /**
@@ -404,7 +408,7 @@ class PagedKvCache final : public KvCache
  * layer plus the next position to fill.  Built by makeDecodeState
  * (contiguous reference caches) or makePagedDecodeState (block-table
  * caches over a shared pool) and advanced by
- * nn::Transformer::forwardStep.
+ * nn::Transformer::forwardChunk.
  */
 struct DecodeState
 {

@@ -2,13 +2,14 @@
  * @file
  * Draft-token proposers for speculative decode.
  *
- * Speculative decode splits a decode step in two: a cheap Proposer
- * guesses the next k tokens, and the target model verifies all k in one
- * batched forwardChunk call.  Greedy accept/reject against the target's
- * own logits makes the output stream bit-identical to plain greedy
- * decode BY CONSTRUCTION — the proposer can only change how many rows
- * each verification step advances, never which tokens come out — so a
- * proposer needs no quality contract at all, only determinism.
+ * Speculative decode: a cheap Proposer guesses the next k tokens, and
+ * the engine appends them to the decode turn's slab behind the feed
+ * token, so the one forwardChunk call that decodes also verifies all
+ * k.  Greedy accept/reject against the target's own logits makes the
+ * output stream bit-identical to plain greedy decode BY CONSTRUCTION —
+ * the proposer can only change how many rows each verification step
+ * advances, never which tokens come out — so a proposer needs no
+ * quality contract at all, only determinism.
  *
  * The built-in NgramProposer drafts by suffix matching over the
  * request's OWN token history (prompt + generation so far): if the
@@ -48,8 +49,8 @@ class Proposer
     /**
      * Propose up to @p max_draft tokens expected to follow @p history
      * (the request's prompt plus everything generated so far, oldest
-     * first).  Returning fewer — or none — is always legal; the engine
-     * falls back to the plain single-token step.  Must be a pure
+     * first).  Returning fewer — or none — is always legal; the slab
+     * is then just the feed token, a plain decode turn.  Must be a pure
      * function of its arguments (the engine's determinism contract
      * extends through it).
      */

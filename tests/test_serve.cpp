@@ -694,21 +694,26 @@ TEST(ServeEngine, SpeculationIsTokenStreamInvisible)
             p.push_back(10 + r * 3 + i % 3); // 3-periodic pattern
         prompts.push_back(std::move(p));
     }
+    // Both prefill schedules run beside speculation: one-row prompt
+    // slabs (token-by-token prefill) and the default 32-row chunks.
     serve::ServeConfig plain;
     plain.maxBatchTokens = 16;
     const auto oracle = serveWorkloadById(lm, plain, prompts, 8);
-    serve::ServeConfig spec = plain;
-    spec.speculate = true;
-    for (size_t draft : {1u, 3u, 4u}) {
-        spec.draftLen = draft;
-        serve::ServeMetrics m;
-        EXPECT_EQ(serveWorkloadById(lm, spec, prompts, 8, &m), oracle)
-            << "draftLen=" << draft;
-        EXPECT_GT(m.specDrafted, 0u) << draft;
-        EXPECT_GE(m.specDrafted, m.specAccepted);
-        EXPECT_EQ(m.specAcceptRate(),
-                  static_cast<double>(m.specAccepted) /
-                      static_cast<double>(m.specDrafted));
+    for (size_t chunk : {1u, 32u}) {
+        serve::ServeConfig spec = plain;
+        spec.speculate = true;
+        spec.prefillChunk = chunk;
+        for (size_t draft : {1u, 3u, 4u}) {
+            spec.draftLen = draft;
+            serve::ServeMetrics m;
+            EXPECT_EQ(serveWorkloadById(lm, spec, prompts, 8, &m), oracle)
+                << "prefillChunk=" << chunk << " draftLen=" << draft;
+            EXPECT_GT(m.specDrafted, 0u) << chunk << ":" << draft;
+            EXPECT_GE(m.specDrafted, m.specAccepted);
+            EXPECT_EQ(m.specAcceptRate(),
+                      static_cast<double>(m.specAccepted) /
+                          static_cast<double>(m.specDrafted));
+        }
     }
 }
 
@@ -898,8 +903,8 @@ forwardGreedy(const eval::LmModel &lm, std::vector<int> seq, size_t max_new)
 
 /**
  * The token-by-token, contiguous-cache oracle at one thread: every row
- * goes through forwardStep, so no multi-row request ever reaches the
- * engine's second phase.
+ * goes through a one-row forwardChunk call, so no multi-row request
+ * ever reaches the engine's second phase.
  */
 std::map<u64, std::vector<int>>
 stepwiseOracle(const eval::LmModel &lm, serve::KvCacheFormat fmt,

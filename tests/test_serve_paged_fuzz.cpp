@@ -21,6 +21,11 @@
  * streams from each and meta-asserting that tiny capacities actually
  * evict.
  *
+ * Every schedule also takes its prefill chunk (1, 2, 5 or 32 prompt
+ * rows per forwardChunk call) from its seed, so the engine's one slab
+ * loop runs token-by-token, odd-sized and default prefill chunks under
+ * sharing, stop tokens, tiny pools, speculation and rollback.
+ *
  * The ctest "serve" legs run this whole binary at OLIVE_THREADS=1 and
  * =8; a dedicated test also flips the pool size in-process.
  */
@@ -79,11 +84,27 @@ struct Schedule
     serve::ServeConfig ref;   //!< Same scheduling knobs, contiguous.
 };
 
+/**
+ * Prompt rows per forwardChunk call for schedule @p seed, from
+ * {1, 2, 5, 32}: token-by-token prefill, tiny and odd chunks that split
+ * prompts and block boundaries unevenly, and the default.  Keyed on
+ * seed / 4 so it varies independently of SpeculativeFuzz's
+ * draftLen = 1 + seed % 4, and taken from the seed rather than the
+ * schedule's Rng, which leaves every schedule's draws unchanged.
+ */
+size_t
+prefillChunkFor(u64 seed)
+{
+    constexpr size_t kChunks[] = {1, 2, 5, 32};
+    return kChunks[(seed / 4) % 4];
+}
+
 Schedule
-randomSchedule(Rng &rng, size_t vocab, size_t n_layers)
+randomSchedule(Rng &rng, u64 seed, size_t vocab, size_t n_layers)
 {
     Schedule s;
     serve::ServeConfig &cfg = s.paged;
+    cfg.prefillChunk = prefillChunkFor(seed);
     switch (rng.uniformInt(8)) {
     case 0:
         cfg.cacheFormat = serve::KvCacheFormat::Olive4;
@@ -224,7 +245,7 @@ TEST(PagedFuzz, ChurnSchedulesMatchReferenceOracle)
     for (u64 seed = 1; seed <= 100; ++seed) {
         Rng rng(seed * 7919);
         const Schedule s =
-            randomSchedule(rng, lm.vocab, lm.backbone.layers.size());
+            randomSchedule(rng, seed, lm.vocab, lm.backbone.layers.size());
         SCOPED_TRACE(testing::Message()
                      << "seed=" << seed << " fmt="
                      << static_cast<int>(s.paged.cacheFormat)
@@ -261,7 +282,7 @@ TEST(PagedFuzz, LockstepCacheContentsBitIdentical)
     for (u64 seed = 1; seed <= 15; ++seed) {
         Rng rng(seed * 104729);
         Schedule s =
-            randomSchedule(rng, lm.vocab, lm.backbone.layers.size());
+            randomSchedule(rng, seed, lm.vocab, lm.backbone.layers.size());
         s.paged.prefixSharing = false;
         s.paged.poolBlocks = 0;
         SCOPED_TRACE(testing::Message() << "seed=" << seed);
@@ -328,7 +349,7 @@ TEST(PagedFuzz, SharingIsTokenStreamInvisible)
     for (u64 seed = 1; seed <= 20; ++seed) {
         Rng rng(seed * 31337);
         Schedule s =
-            randomSchedule(rng, lm.vocab, lm.backbone.layers.size());
+            randomSchedule(rng, seed, lm.vocab, lm.backbone.layers.size());
         s.paged.poolBlocks = 0; // isolate sharing from capacity stalls
         SCOPED_TRACE(testing::Message() << "seed=" << seed);
         serve::ServeConfig on = s.paged, off = s.paged;
@@ -359,7 +380,7 @@ TEST(DecodedCacheFuzz, CapacitySweepMatchesReferenceOracle)
     u64 evictions_tiny = 0, hits_unbounded = 0, hits_tiny = 0;
     for (u64 seed = 1; seed <= 100; ++seed) {
         Rng rng(seed * 7919);
-        const Schedule s = randomSchedule(rng, lm.vocab, n_layers);
+        const Schedule s = randomSchedule(rng, seed, lm.vocab, n_layers);
         SCOPED_TRACE(testing::Message()
                      << "seed=" << seed << " blockRows="
                      << s.paged.blockRows << " pool=" << s.paged.poolBlocks);
@@ -429,7 +450,7 @@ TEST(SpeculativeFuzz, StreamsBitIdenticalToGreedyDecode)
     for (u64 seed = 1; seed <= 100; ++seed) {
         Rng rng(seed * 7919);
         Schedule s =
-            randomSchedule(rng, lm.vocab, lm.backbone.layers.size());
+            randomSchedule(rng, seed, lm.vocab, lm.backbone.layers.size());
         // Speculation only engages when the step budget exceeds the
         // guaranteed per-request token, so give the batch headroom.
         s.paged.maxBatchTokens =
@@ -519,6 +540,7 @@ TEST(RetentionFuzz, MultiTurnChurnRetentionIsStreamInvisible)
             serve::Workload::generate(randomMultiTurnSpec(rng, lm.vocab));
 
         serve::ServeConfig cfg;
+        cfg.prefillChunk = prefillChunkFor(seed);
         switch (rng.uniformInt(4)) {
         case 0:
             cfg.cacheFormat = serve::KvCacheFormat::Olive4;
@@ -625,7 +647,7 @@ TEST(PagedFuzz, SchedulesBitIdenticalAcrossThreadCounts)
     for (u64 seed : {3u, 11u, 42u}) {
         Rng rng(seed * 7919);
         const Schedule s =
-            randomSchedule(rng, lm.vocab, lm.backbone.layers.size());
+            randomSchedule(rng, seed, lm.vocab, lm.backbone.layers.size());
         SCOPED_TRACE(testing::Message() << "seed=" << seed);
         par::setThreadCount(1);
         const auto serial = runSchedule(lm, s.paged, s.subs);
