@@ -31,8 +31,16 @@ AbFloat::e4m3(int bias)
 std::string
 AbFloat::name() const
 {
-    return "E" + std::to_string(expBits_) + "M" + std::to_string(mantBits_) +
-           "(bias=" + std::to_string(bias_) + ")";
+    // Appends, not an operator+ chain: GCC 12 at -O2 raises a false
+    // -Werror=restrict inside libstdc++'s const char * + std::string&&.
+    std::string s = "E";
+    s += std::to_string(expBits_);
+    s += 'M';
+    s += std::to_string(mantBits_);
+    s += "(bias=";
+    s += std::to_string(bias_);
+    s += ')';
+    return s;
 }
 
 u32

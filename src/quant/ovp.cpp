@@ -1,6 +1,7 @@
 #include "ovp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -451,12 +452,20 @@ OvpCodec::encodeInto(std::span<const float> xs, std::span<u8> out,
 std::vector<float>
 OvpCodec::decode(std::span<const u8> bytes, size_t count) const
 {
+    std::vector<float> out(count);
+    decodeInto(bytes, out);
+    return out;
+}
+
+void
+OvpCodec::decodeInto(std::span<const u8> bytes, std::span<float> out) const
+{
+    const size_t count = out.size();
     const size_t pairs = (count + 1) / 2;
     OLIVE_ASSERT(bytes.size() >= pairs * bytesPerPair(),
                  "decode stream too short");
-    std::vector<float> out(count);
     const bool nibble_packed = bytesPerPair() == 1;
-    par::parallelFor(0, pairs, kPairGrain, [&](size_t pb, size_t pe) {
+    const auto body = [&](size_t pb, size_t pe) {
         for (size_t p = pb; p < pe; ++p) {
             u32 c1, c2;
             if (nibble_packed) {
@@ -472,8 +481,10 @@ OvpCodec::decode(std::span<const u8> bytes, size_t count) const
             if (2 * p + 1 < count)
                 out[2 * p + 1] = v2;
         }
-    });
-    return out;
+    };
+    // A reference_wrapper fits std::function's inline storage, so the
+    // region itself allocates nothing.
+    par::parallelFor(0, pairs, kPairGrain, std::cref(body));
 }
 
 std::vector<float>
@@ -576,8 +587,15 @@ OvpCodec::fakeQuantReference(std::span<const float> xs,
 
 namespace {
 
-/** Candidates one lockstep pass scores side by side. */
-constexpr size_t kLockstepWidth = 8;
+/**
+ * Candidates one lockstep pass scores side by side.  A pass stops early
+ * only once all of its lanes are past the bound, so narrow passes stop
+ * sooner; four lanes also split the 28-point grid into full passes.
+ */
+constexpr size_t kLockstepWidth = 4;
+
+/** Pairs between two checks of a pass's running sums against the bound. */
+constexpr size_t kBoundPairs = 8;
 
 /** Midpoints of the flint4 grid, pre-scaled per lane. */
 constexpr size_t kFlintMids = 7;
@@ -592,7 +610,13 @@ struct LockstepGrid
     std::vector<double> normalMags;  //!< 0 .. max normal, ascending.
     std::vector<double> normalMids;  //!< Midpoints of normalMags.
     std::vector<double> outlierMags; //!< Nonzero abfloat magnitudes.
-    std::vector<double> outlierMids; //!< Their midpoints up to 2^15.
+    /**
+     * Their midpoints up to 2^15, then +inf up to 2^k - 1 entries, so
+     * the outlier search is k fixed, branch-free halvings.
+     */
+    std::vector<double> outlierMids;
+    size_t outlierMidCount = 0; //!< Midpoints before the +inf padding.
+    size_t outlierTopStep = 0;  //!< 2^(k-1), the search's first step.
 };
 
 LockstepGrid
@@ -614,6 +638,12 @@ buildLockstepGrid(NormalType t)
         if (b <= 32768.0)
             g.outlierMids.push_back(b);
     }
+    g.outlierMidCount = g.outlierMids.size();
+    g.outlierTopStep = std::bit_ceil(g.outlierMidCount + 1) / 2;
+    g.outlierMids.resize(2 * g.outlierTopStep - 1,
+                         std::numeric_limits<double>::infinity());
+    OLIVE_ASSERT(g.outlierMags.size() > g.outlierMidCount,
+                 "one more outlier magnitude than midpoints");
     OLIVE_ASSERT(t != NormalType::Flint4 ||
                      g.normalMids.size() == kFlintMids,
                  "unexpected flint4 grid size");
@@ -662,10 +692,20 @@ pick(M2 m, D2 a, D2 b)
                                 (~m & reinterpret_cast<M2>(b)));
 }
 
+/** Lane-wise m ? -x : x, as a sign-bit flip (exactly unary minus). */
+inline D2
+negateIf(M2 m, D2 x)
+{
+    const M2 sign = {INT64_MIN, INT64_MIN};
+    return reinterpret_cast<D2>(reinterpret_cast<M2>(x) ^ (m & sign));
+}
+
 /**
  * One lockstep pass: kLockstepWidth candidate lanes of normal type
  * @p T scored over @p xs with the lane index innermost, in two-lane
  * vectors.  Lanes past @p n repeat candidate 0 and are discarded.
+ * Every kBoundPairs pairs, a pass whose lanes all have a running MSE
+ * strictly above @p bound stops and scores +inf for each of them.
  *
  * No division: every midpoint b has at most 8 significant bits and
  * every scale s is a float, so b * s is exact in double.  A nonzero
@@ -679,7 +719,7 @@ template <NormalType T>
 void
 lockstepPass(const LockstepGrid &g, std::span<const float> xs,
              const float *scales, const double *thresholds, size_t n,
-             double *out)
+             double bound, double *out)
 {
     constexpr size_t W = kLockstepWidth;
     constexpr size_t V = kLockstepVecs;
@@ -687,15 +727,19 @@ lockstepPass(const LockstepGrid &g, std::span<const float> xs,
     // int grids are reached from a reciprocal estimate instead.
     constexpr bool kFlint = T == NormalType::Flint4;
     const double max_mag = g.normalMags.back();
-    std::array<double, W> s{}, thr{};
-    Lanes sv{}, inv{}, acc{};
-    // A value passes flint midpoint j when |v| > above[j] for v >= 0
-    // and when |v| >= mid * s, i.e. |v| > atOrAbove[j] (the double just
-    // below), for v < 0: ties round toward the lower value, as in
-    // NormalCodec.  Passing it adds rise[j] to the decoded magnitude;
-    // the rises are differences of consecutive decoded floats, so
-    // their running sums are exact and land on the decoded values.
-    std::array<Lanes, kFlintMids> above{}, atOrAbove{}, rise{};
+    std::array<double, W> s{};
+    Lanes sv{}, inv{}, thr{}, acc{};
+    double thr_min = std::numeric_limits<double>::infinity();
+    // A value passes flint midpoint j when |v| > mids[0][j] (mid * s)
+    // for v >= 0 and when |v| >= mid * s, i.e. |v| > mids[1][j] (the
+    // double just below), for v < 0: ties round toward the lower
+    // value, as in NormalCodec.  Indexing by the sign picks the set
+    // without a branch.  Passing it adds rise[j] to the decoded
+    // magnitude; the rises are differences of consecutive decoded
+    // floats, so their running sums are exact and land on the decoded
+    // values.
+    std::array<std::array<Lanes, kFlintMids>, 2> mids{};
+    std::array<Lanes, kFlintMids> rise{};
     for (size_t c = 0; c < W; ++c) {
         const size_t src = c < n ? c : 0;
         OLIVE_ASSERT(scales[src] > 0.0f && std::isfinite(scales[src]) &&
@@ -703,7 +747,8 @@ lockstepPass(const LockstepGrid &g, std::span<const float> xs,
                      "lockstep candidates need a positive scale and "
                      "threshold");
         s[c] = scales[src];
-        thr[c] = thresholds[src];
+        thr[c / 2][c % 2] = thresholds[src];
+        thr_min = std::min(thr_min, thresholds[src]);
         sv[c / 2][c % 2] = s[c];
         inv[c / 2][c % 2] = 1.0 / s[c];
         if constexpr (kFlint) {
@@ -712,26 +757,32 @@ lockstepPass(const LockstepGrid &g, std::span<const float> xs,
                 const double b = g.normalMids[j] * s[c];
                 const double q = static_cast<float>(
                     g.normalMags[j + 1] * s[c]);
-                above[j][c / 2][c % 2] = b;
-                atOrAbove[j][c / 2][c % 2] = std::nextafter(b, 0.0);
+                mids[0][j][c / 2][c % 2] = b;
+                // nextafter(b, 0.0) for b > 0, without the libm call
+                // (28 per pass, which were most of the pass setup).
+                mids[1][j][c / 2][c % 2] = std::bit_cast<double>(
+                    std::bit_cast<std::uint64_t>(b) - 1);
                 rise[j][c / 2][c % 2] = q - prev;
                 prev = q;
             }
         }
     }
 
-    // err = v - (v quantized on each lane's normal grid).
+    // err = v - (v quantized on each lane's normal grid).  Rows are
+    // signed noise, so nothing on the per-value path branches on the
+    // sign: a mispredicted branch costs as much as the arithmetic.
     const auto normalErr = [&](float v, Lanes &err) {
         const D2 a = splat(std::fabs(v));
         const bool neg = v < 0.0f;
         const D2 vd = splat(v);
+        const M2 negm = vd < D2{};
         for (size_t h = 0; h < V; ++h) {
             D2 q;
             if constexpr (kFlint) {
-                const auto &mids = neg ? atOrAbove : above;
+                const auto &m = mids[neg];
                 q = D2{};
                 for (size_t j = 0; j < kFlintMids; ++j)
-                    q += pick(a > mids[j][h], rise[j][h], D2{});
+                    q += pick(a > m[j][h], rise[j][h], D2{});
             } else {
                 // Uniform grid: y = a * (1 / s) is within 2^-44 of
                 // a / s once clamped to the range, so its nearest
@@ -759,26 +810,23 @@ lockstepPass(const LockstepGrid &g, std::span<const float> xs,
                 const F2 qf = __builtin_convertvector(k * sv[h], F2);
                 q = __builtin_convertvector(qf, D2);
             }
-            err[h] = vd - (neg ? -q : q);
+            err[h] = vd - negateIf(negm, q);
         }
     };
     // Outlier magnitude index of a on lane c: the midpoints at or below
-    // it (outlier ties round away from zero).
+    // it (outlier ties round away from zero), by halvings of fixed
+    // count over the padded midpoints.  The clamp only matters for an
+    // infinite a, which passes the +inf padding too.
     const auto outlierIndex = [&](double a, size_t c) {
-        size_t lo = 0;
-        size_t hi = g.outlierMids.size();
-        while (lo < hi) {
-            const size_t mid = (lo + hi) / 2;
-            if (a >= g.outlierMids[mid] * s[c])
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        return lo;
+        size_t pos = 0;
+        for (size_t step = g.outlierTopStep; step > 0; step /= 2)
+            pos += a >= g.outlierMids[pos + step - 1] * s[c] ? step : 0;
+        return std::min(pos, g.outlierMidCount);
     };
 
     Lanes e1{}, e2{};
     const size_t pairs = (xs.size() + 1) / 2;
+    const D2 count = splat(static_cast<double>(xs.size()));
     for (size_t p = 0; p < pairs; ++p) {
         const float v1 = xs[2 * p];
         const bool has2 = 2 * p + 1 < xs.size();
@@ -789,22 +837,29 @@ lockstepPass(const LockstepGrid &g, std::span<const float> xs,
         // Under any threshold the pair holds an outlier iff its larger
         // magnitude exceeds it; that value (the left one on a tie) is
         // quantized on the abfloat grid and the other, the victim,
-        // decodes to 0.
+        // decodes to 0.  The one branch is whether any lane sees an
+        // outlier; the lanes then blend without branching.
         const double a1 = std::fabs(v1);
         const double a2 = std::fabs(v2);
-        const bool left = a1 >= a2;
-        const double amax = left ? a1 : a2;
-        const float vo = left ? v1 : v2;
-        const double vv = left ? v2 : v1;
-        Lanes &eo = left ? e1 : e2;
-        Lanes &ev = left ? e2 : e1;
-        for (size_t c = 0; c < W; ++c) {
-            if (amax > thr[c]) {
-                const float q = static_cast<float>(
-                    g.outlierMags[outlierIndex(amax, c)] * s[c]);
-                eo[c / 2][c % 2] =
-                    static_cast<double>(vo) - (vo < 0.0f ? -q : q);
-                ev[c / 2][c % 2] = vv;
+        const double amax = a1 >= a2 ? a1 : a2;
+        if (amax > thr_min) {
+            const D2 d1 = splat(v1);
+            const D2 d2 = splat(v2);
+            const M2 left = splat(a1) >= splat(a2);
+            const D2 vo = pick(left, d1, d2);
+            const M2 vo_neg = vo < D2{};
+            const D2 am = splat(amax);
+            for (size_t h = 0; h < V; ++h) {
+                D2 q;
+                for (size_t k = 0; k < 2; ++k) {
+                    const size_t c = 2 * h + k;
+                    q[k] = static_cast<float>(
+                        g.outlierMags[outlierIndex(amax, c)] * s[c]);
+                }
+                const D2 eo = vo - negateIf(vo_neg, q);
+                const M2 outlier = am > thr[h];
+                e1[h] = pick(outlier, pick(left, eo, d1), e1[h]);
+                e2[h] = pick(outlier, pick(left, d2, eo), e2[h]);
             }
         }
         for (size_t h = 0; h < V; ++h)
@@ -812,6 +867,19 @@ lockstepPass(const LockstepGrid &g, std::span<const float> xs,
         if (has2) {
             for (size_t h = 0; h < V; ++h)
                 acc[h] += e2[h] * e2[h];
+        }
+        // Divide before comparing: fl(acc / n) is what the lane would
+        // score, and a sum-space test (acc > bound * n) could retire a
+        // lane whose rounded MSE later equals the bound.  Lanes past n
+        // mirror lane 0, so testing every lane tests the live ones.
+        if (p % kBoundPairs == kBoundPairs - 1) {
+            M2 over = acc[0] / count > splat(bound);
+            for (size_t h = 1; h < V; ++h)
+                over &= acc[h] / count > splat(bound);
+            if (over[0] & over[1]) {
+                std::fill_n(out, n, std::numeric_limits<double>::infinity());
+                return;
+            }
         }
     }
     for (size_t c = 0; c < n; ++c) {
@@ -826,7 +894,8 @@ lockstepPass(const LockstepGrid &g, std::span<const float> xs,
 void
 ovpLockstepMse(NormalType t, std::span<const float> xs,
                std::span<const float> scales,
-               std::span<const double> thresholds, std::span<double> out)
+               std::span<const double> thresholds, std::span<double> out,
+               double bound)
 {
     OLIVE_ASSERT(scales.size() == thresholds.size() &&
                      out.size() == scales.size(),
@@ -840,13 +909,13 @@ ovpLockstepMse(NormalType t, std::span<const float> xs,
         double *o = out.data() + c;
         switch (t) {
           case NormalType::Int4:
-            lockstepPass<NormalType::Int4>(g, xs, sc, th, n, o);
+            lockstepPass<NormalType::Int4>(g, xs, sc, th, n, bound, o);
             break;
           case NormalType::Flint4:
-            lockstepPass<NormalType::Flint4>(g, xs, sc, th, n, o);
+            lockstepPass<NormalType::Flint4>(g, xs, sc, th, n, bound, o);
             break;
           case NormalType::Int8:
-            lockstepPass<NormalType::Int8>(g, xs, sc, th, n, o);
+            lockstepPass<NormalType::Int8>(g, xs, sc, th, n, bound, o);
             break;
         }
     }

@@ -17,6 +17,7 @@
 #define OLIVE_QUANT_OVP_HPP
 
 #include <array>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -167,6 +168,13 @@ class OvpCodec
     std::vector<float> decode(std::span<const u8> bytes, size_t count) const;
 
     /**
+     * decode() of out.size() elements into a caller-owned buffer,
+     * without allocating (the per-row KV path decodes straight into
+     * its attention row); bit-identical to decode().
+     */
+    void decodeInto(std::span<const u8> bytes, std::span<float> out) const;
+
+    /**
      * Quantize-dequantize round trip without packing.  Fused: each pair
      * goes value -> codes -> value directly, never materializing the
      * byte stream, but producing bit-identical floats and stats to
@@ -249,18 +257,28 @@ class OvpCodec
 /**
  * Lockstep threshold scorer: the fake-quantization MSE of @p xs under
  * every OVP configuration (@p t, scales[c], thresholds[c]) with the
- * default abfloat bias, scored in one pass over @p xs with the
- * candidate index innermost.  Each candidate keeps its own double
- * accumulator in element order, so out[c] is bit-identical to
+ * default abfloat bias, scored in passes of four candidates over @p xs
+ * with the candidate index innermost.  Each candidate keeps its own
+ * double accumulator in element order, so out[c] is bit-identical to
  * stats::mse(xs, OvpCodec(t, scales[c], thresholds[c])
- * .fakeQuantReference(xs)); no codec is built.  Serial: the calibration
- * grid parallelizes across candidate groups.  An empty @p xs scores 0.
+ * .fakeQuantReference(xs)); no codec is built.
+ *
+ * Early exit: every 8 pairs a pass compares each lane's running sum,
+ * divided by xs.size(), with @p bound.  Once all of its lanes are
+ * strictly above it, the pass stops and writes +inf for all of them.
+ * Squared errors are non-negative and rounded division is monotone,
+ * so such a lane's full MSE is strictly above @p bound too; a lane
+ * whose MSE is <= @p bound is always scored in full.  The default
+ * (+inf) never stops a pass.  Serial: OliveQuantizer::calibrate
+ * spreads the grid over candidate groups and shares the bound.  An
+ * empty @p xs scores 0.
  * @pre scales[c] > 0 and finite, thresholds[c] > 0, equal span sizes
  */
 void ovpLockstepMse(NormalType t, std::span<const float> xs,
                     std::span<const float> scales,
                     std::span<const double> thresholds,
-                    std::span<double> out);
+                    std::span<double> out,
+                    double bound = std::numeric_limits<double>::infinity());
 
 } // namespace olive
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "util/parallel.hpp"
@@ -18,7 +20,7 @@ namespace {
  * Grid points of one type scored per lockstep call, one parallel task;
  * the scorer's pass width, so no pass carries idle lanes but the last.
  */
-constexpr size_t kGroup = 8;
+constexpr size_t kGroup = 4;
 
 /** The normal types the search tries, in grid order; returns the count. */
 size_t
@@ -51,15 +53,17 @@ initialThreshold(double sigma, std::span<const float> s)
     return (sigma > 0.0) ? 3.0 * sigma : amax;
 }
 
-/** Threshold of grid point @p i: a geometric sweep around 3 sigma. */
+/**
+ * Multiplier of grid point @p i: a geometric sweep around 3 sigma.
+ * Grid point i's threshold is t0 times it.
+ */
 double
-gridThreshold(const OliveConfig &config, double t0, size_t i)
+gridMultiplier(const OliveConfig &config, size_t i)
 {
     const double frac = static_cast<double>(i) /
                         static_cast<double>(config.searchPoints - 1);
-    const double mult = config.searchLo *
-                        std::pow(config.searchHi / config.searchLo, frac);
-    return t0 * mult;
+    return config.searchLo *
+           std::pow(config.searchHi / config.searchLo, frac);
 }
 
 /** The candidate (without its MSE) at threshold @p thr for type @p t. */
@@ -111,6 +115,41 @@ struct CalibrateScratch
     std::vector<double> mse;        //!< Per (type, grid point).
 };
 
+/**
+ * The groups of @p n_types grid types, @p points each, middle-out:
+ * by the distance of a group's centre from the grid centre, ties in
+ * (type, point) order.  The winner usually sits mid-grid, so scoring
+ * there first tightens the early-exit bound for the rest.
+ */
+std::vector<size_t>
+middleOutGroups(size_t n_types, size_t points)
+{
+    const size_t per_type = (points + kGroup - 1) / kGroup;
+    // Twice the distance, so the centres stay integers.
+    const auto dist = [&](size_t g) {
+        const size_t first = (g % per_type) * kGroup;
+        const size_t last = std::min(points, first + kGroup) - 1;
+        const size_t c2 = first + last;
+        return c2 > points - 1 ? c2 - (points - 1) : (points - 1) - c2;
+    };
+    std::vector<size_t> order(n_types * per_type);
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return dist(a) < dist(b);
+    });
+    return order;
+}
+
+/** Lower @p bound to @p mse if it is smaller. */
+void
+storeMin(std::atomic<double> &bound, double mse)
+{
+    double cur = bound.load(std::memory_order_relaxed);
+    while (mse < cur &&
+           !bound.compare_exchange_weak(cur, mse, std::memory_order_relaxed)) {
+    }
+}
+
 } // namespace
 
 OliveQuantizer::OliveQuantizer(OliveConfig config)
@@ -122,6 +161,11 @@ OliveQuantizer::OliveQuantizer(OliveConfig config)
     OLIVE_ASSERT(config_.searchLo > 0.0 &&
                      config_.searchHi > config_.searchLo,
                  "bad threshold search range");
+    const size_t points = static_cast<size_t>(config_.searchPoints);
+    for (size_t i = 0; i < points; ++i)
+        gridMult_.push_back(gridMultiplier(config_, i));
+    std::array<NormalType, 2> types{};
+    groupOrder_ = middleOutGroups(searchTypes(config_, types), points);
 }
 
 std::vector<float>
@@ -165,17 +209,28 @@ OliveQuantizer::calibrate(std::span<const float> xs) const
     const size_t points = static_cast<size_t>(config_.searchPoints);
     scratch.thresholds.resize(points);
     for (size_t i = 0; i < points; ++i)
-        scratch.thresholds[i] = gridThreshold(config_, t0, i);
+        scratch.thresholds[i] = t0 * gridMult_[i];
     scratch.mse.resize(n_types * points);
 
     // Lockstep scoring: each task scores up to kGroup grid points of
     // one type in a single pass over the sample (ovpLockstepMse),
-    // bit-identical to scoring each candidate's round trip on its own.
+    // bit-identical to scoring each candidate's round trip on its own,
+    // except that a pass stops once all its lanes are provably worse
+    // than the smallest full MSE scored so far (the bound).  The bound
+    // is always some candidate's MSE, so it is never below the
+    // winner's: a stopped lane, scored +inf, can neither win nor tie,
+    // and pickBest's choice does not depend on which passes stopped.
+    // That makes the result independent of the order in which the
+    // tasks run; a nested or one-thread region runs them serially in
+    // middle-out order.
     const size_t groups_per_type = (points + kGroup - 1) / kGroup;
+    const std::span<const size_t> order = groupOrder_;
     const std::span<const double> thr = scratch.thresholds;
     const std::span<double> mse = scratch.mse;
-    const auto score = [&](size_t gb, size_t ge) {
-        for (size_t g = gb; g < ge; ++g) {
+    std::atomic<double> bound{std::numeric_limits<double>::infinity()};
+    const auto score = [&](size_t ob, size_t oe) {
+        for (size_t o = ob; o < oe; ++o) {
+            const size_t g = order[o];
             const size_t ti = g / groups_per_type;
             const size_t first = (g % groups_per_type) * kGroup;
             const size_t last = std::min(points, first + kGroup);
@@ -194,14 +249,17 @@ OliveQuantizer::calibrate(std::span<const float> xs) const
                 at[n++] = i;
             }
             ovpLockstepMse(types[ti], s, std::span(sc).first(n),
-                           std::span(th).first(n), std::span(out).first(n));
-            for (size_t k = 0; k < n; ++k)
+                           std::span(th).first(n), std::span(out).first(n),
+                           bound.load(std::memory_order_relaxed));
+            for (size_t k = 0; k < n; ++k) {
                 type_mse[at[k]] = out[k];
+                storeMin(bound, out[k]);
+            }
         }
     };
     // A reference_wrapper fits std::function's inline storage, so the
     // region allocates nothing.
-    par::parallelFor(0, n_types * groups_per_type, 1, std::cref(score));
+    par::parallelFor(0, order.size(), 1, std::cref(score));
 
     return pickBest(n_types * points, [&](size_t idx) {
         QuantDecision c = candidate(types[idx / points], thr[idx % points]);
@@ -224,9 +282,8 @@ OliveQuantizer::calibrateReference(std::span<const float> xs) const
     std::vector<QuantDecision> grid(n_types * points);
     par::parallelFor(0, grid.size(), 1, [&](size_t cb, size_t ce) {
         for (size_t idx = cb; idx < ce; ++idx) {
-            QuantDecision c = candidate(
-                types[idx / points],
-                gridThreshold(config_, t0, idx % points));
+            QuantDecision c = candidate(types[idx / points],
+                                        t0 * gridMult_[idx % points]);
             if (scorable(c)) {
                 const OvpCodec codec(c.normal, c.scale, c.threshold);
                 c.mse = stats::mse(s, codec.fakeQuantReference(s));

@@ -56,11 +56,13 @@ class OliveQuantizer
 
     /**
      * Search the threshold (and normal type) minimizing sample MSE.
-     * Each type's grid candidates are scored side by side in lockstep
-     * passes over the shared sample (ovpLockstepMse): no codec, byte
-     * stream or round-trip vector per candidate, and no allocation
-     * once the calling thread's buffers are warm (unless xs exceeds
-     * sampleCap and must be subsampled).
+     * Each type's grid candidates are scored four at a time in
+     * lockstep passes over the shared sample (ovpLockstepMse): no
+     * codec, byte stream or round-trip vector per candidate, and no
+     * allocation once the calling thread's buffers are warm (unless
+     * xs exceeds sampleCap and must be subsampled).  Passes run
+     * middle-out and stop once every lane is provably worse than the
+     * best MSE scored so far, which never changes the decision.
      * @pre xs is non-empty and not all zeros.
      */
     QuantDecision calibrate(std::span<const float> xs) const;
@@ -86,6 +88,10 @@ class OliveQuantizer
     std::vector<float> sample(std::span<const float> xs) const;
 
     OliveConfig config_;
+    /** Per grid point: its threshold over the 3-sigma start. */
+    std::vector<double> gridMult_;
+    /** calibrate()'s lockstep groups in scoring order (middle-out). */
+    std::vector<size_t> groupOrder_;
 };
 
 } // namespace olive

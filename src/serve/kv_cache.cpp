@@ -143,9 +143,7 @@ OvpKvScheme::decodeRow(std::span<const u8> bytes, const KvRowMeta &meta,
     // Construction amortized across rows and steps sharing a (normal,
     // scale); bit-identical to a freshly constructed codec
     // (KvScheme.OvpDecodeCodecCacheIsBitIdentical pins this).
-    const OvpCodec &codec = cachedDecodeCodec(meta.normal, meta.scale);
-    const std::vector<float> vals = codec.decode(bytes, out.size());
-    std::copy(vals.begin(), vals.end(), out.begin());
+    cachedDecodeCodec(meta.normal, meta.scale).decodeInto(bytes, out);
 }
 
 // ------------------------------------------------------------ int8

@@ -1,8 +1,10 @@
 #include "stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common.hpp"
 
@@ -144,6 +146,84 @@ percentile(std::span<const float> xs, double p)
     return percentileInPlace(v, p);
 }
 
+namespace {
+
+/**
+ * Move the elements of @p v for which @p before holds to its front,
+ * keeping the rest behind them; returns their count.  Every step swaps
+ * and advances by the predicate's value, so nothing branches on the
+ * data (Lomuto with an unconditional swap).
+ */
+template <typename Pred>
+size_t
+partitionBranchless(std::span<float> v, Pred before)
+{
+    size_t i = 0;
+    for (size_t j = 0; j < v.size(); ++j) {
+        const float x = v[j];
+        v[j] = v[i];
+        v[i] = x;
+        i += before(x) ? 1 : 0;
+    }
+    return i;
+}
+
+/**
+ * The k-th smallest value of @p v and the smallest value ranked after
+ * it (+inf when k is the last), reordering @p v.  Quickselect with a
+ * median-of-three pivot and branch-free three-way partitions: on the
+ * short noisy rows calibration selects over, nth_element's
+ * data-dependent branches mispredict about half the time.  Order
+ * statistics are values, so the result is the one a sort would give.
+ * A range that has not converged after 2 log2(n) rounds falls back to
+ * nth_element.
+ */
+std::pair<float, float>
+selectWithNext(std::span<float> v, size_t k)
+{
+    size_t b = 0;
+    size_t e = v.size();
+    // Minimum of the elements known to rank above [b, e).
+    float above = std::numeric_limits<float>::infinity();
+    for (int rounds = 2 * std::bit_width(v.size()); e - b > 1; --rounds) {
+        const std::span<float> r = v.subspan(b, e - b);
+        if (rounds == 0) {
+            const auto kth = r.begin() + static_cast<std::ptrdiff_t>(k - b);
+            std::nth_element(r.begin(), kth, r.end());
+            if (kth + 1 != r.end())
+                above = std::min(above, *std::min_element(kth + 1, r.end()));
+            return {*kth, above};
+        }
+        const float x = r.front();
+        const float y = r[r.size() / 2];
+        const float z = r.back();
+        const float pivot =
+            std::max(std::min(x, y), std::min(std::max(x, y), z));
+        const size_t lt =
+            b + partitionBranchless(r, [=](float t) { return t < pivot; });
+        const size_t le =
+            lt + partitionBranchless(v.subspan(lt, e - lt),
+                                     [=](float t) { return t <= pivot; });
+        if (k < lt) {
+            above = std::min(above, pivot);
+            e = lt;
+        } else if (k < le) {
+            if (k + 1 < le)
+                return {pivot, pivot};
+            const std::span<const float> rest = v.subspan(le, e - le);
+            if (!rest.empty())
+                above = std::min(above, *std::min_element(rest.begin(),
+                                                          rest.end()));
+            return {pivot, above};
+        } else {
+            b = le;
+        }
+    }
+    return {v[k], above};
+}
+
+} // namespace
+
 double
 percentileInPlace(std::span<float> v, double p)
 {
@@ -153,16 +233,12 @@ percentileInPlace(std::span<float> v, double p)
     const size_t lo = static_cast<size_t>(rank);
     const size_t hi = std::min(lo + 1, v.size() - 1);
     const double frac = rank - static_cast<double>(lo);
-    // Selection instead of a full sort: nth_element places the exact
-    // lo-th order statistic, and the (lo+1)-th is the minimum of the
-    // right partition — the same two values a sorted copy would yield,
-    // at O(n) instead of O(n log n).  robustSigma calls this twice per
+    // Selection instead of a full sort: the lo-th and (lo+1)-th order
+    // statistics are the same two values a sorted copy would yield, at
+    // O(n) instead of O(n log n).  robustSigma calls this twice per
     // calibration, so it is on the quantizer's hot path.
-    const auto mid = v.begin() + static_cast<std::ptrdiff_t>(lo);
-    std::nth_element(v.begin(), mid, v.end());
-    const float vlo = v[lo];
-    const float vhi =
-        (hi == lo) ? vlo : *std::min_element(mid + 1, v.end());
+    const auto [vlo, next] = selectWithNext(v, lo);
+    const float vhi = (hi == lo) ? vlo : next;
     return vlo * (1.0 - frac) + vhi * frac;
 }
 

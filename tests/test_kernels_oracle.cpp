@@ -12,8 +12,9 @@
  *    encode/decode/fakeQuant round trips against the pre-LUT reference.
  *  - OliveQuantizer: the lockstep grid scorer's per-candidate MSE ==
  *    stats::mse(s, fakeQuantReference(s)) bitwise, on adversarial
- *    rows too, and calibrate() decision == calibrateReference()
- *    decision.
+ *    rows too; its early exit only ever drops lanes strictly above
+ *    the bound; and calibrate() decision == calibrateReference()
+ *    decision, ties and top-level parallel calls included.
  *  - GEMM: tiled matmul and row-dot matmulTransB/linearForward bytewise
  *    against the untiled references, including the serving weight
  *    shapes at every row-tile split and ragged n/k tails, and the
@@ -23,8 +24,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "quant/quantizer.hpp"
@@ -327,6 +331,174 @@ TEST_P(OvpOracle, LockstepMseMatchesReferenceOnAdversarialRows)
     EXPECT_EQ(out[0], 0.0);
 }
 
+TEST_P(OvpOracle, DecodeIntoMatchesDecode)
+{
+    for (const size_t n : {1ul, 2ul, 7ul, 128ul, 4097ul}) {
+        const auto xs = heavyTailData(n, 29 + n);
+        const OvpCodec codec(GetParam(), 0.2f, 1.1);
+        const auto bytes = codec.encode(xs);
+        std::vector<float> into(n, std::nanf(""));
+        codec.decodeInto(bytes, into);
+        EXPECT_TRUE(bitEqual(into, codec.decode(bytes, n))) << "n=" << n;
+    }
+}
+
+/** Candidates of the bound tests: two lockstep passes of four. */
+struct BoundCandidates
+{
+    std::vector<float> scales;
+    std::vector<double> thresholds;
+};
+
+BoundCandidates
+boundCandidates(NormalType t, std::initializer_list<float> scales)
+{
+    BoundCandidates c;
+    for (const float sc : scales) {
+        const double on_grid = sc * maxNormalMagnitude(t);
+        for (const double thr : {on_grid, on_grid / 2.0}) {
+            c.scales.push_back(sc);
+            c.thresholds.push_back(thr);
+        }
+    }
+    return c;
+}
+
+/** Per-candidate reference MSE: the codec's round trip, stats::mse. */
+std::vector<double>
+referenceMse(NormalType t, std::span<const float> xs,
+             const BoundCandidates &c)
+{
+    std::vector<double> ref;
+    for (size_t k = 0; k < c.scales.size(); ++k) {
+        const OvpCodec codec(t, c.scales[k], c.thresholds[k]);
+        ref.push_back(stats::mse(xs, codec.fakeQuantReference(xs)));
+    }
+    return ref;
+}
+
+/**
+ * ovpLockstepMse under @p bound, pass by pass (four candidates each):
+ * a pass with a lane whose reference MSE is <= @p bound cannot stop, so
+ * every lane scores its reference MSE bitwise; a pass whose lanes are
+ * all above it scores +inf for all of them when its last check sees
+ * the full sums (a pair count that is a multiple of 8), and otherwise
+ * either that or the reference MSEs.
+ */
+void
+expectBoundContract(NormalType t, std::span<const float> xs,
+                    const BoundCandidates &c, double bound,
+                    const std::string &what)
+{
+    const std::vector<double> ref = referenceMse(t, xs, c);
+    std::vector<double> out(ref.size());
+    ovpLockstepMse(t, xs, c.scales, c.thresholds, out, bound);
+    const double inf = std::numeric_limits<double>::infinity();
+    const bool last_check_full = !xs.empty() && (xs.size() + 1) / 2 % 8 == 0;
+    for (size_t c0 = 0; c0 < ref.size(); c0 += 4) {
+        const size_t c1 = std::min(ref.size(), c0 + 4);
+        bool all_above = true;
+        bool all_exact = true;
+        bool all_inf = true;
+        for (size_t k = c0; k < c1; ++k) {
+            all_above = all_above && ref[k] > bound;
+            all_exact = all_exact && bitEqual(out[k], ref[k]);
+            all_inf = all_inf && out[k] == inf;
+        }
+        const std::string at = what + " n=" + std::to_string(xs.size()) +
+                               " bound=" + std::to_string(bound) +
+                               " pass " + std::to_string(c0 / 4);
+        if (!all_above)
+            EXPECT_TRUE(all_exact) << at;
+        else if (last_check_full)
+            EXPECT_TRUE(all_inf) << at;
+        else
+            EXPECT_TRUE(all_exact || all_inf) << at;
+    }
+}
+
+TEST_P(OvpOracle, BoundBelowEveryLaneScoresInfinity)
+{
+    const NormalType t = GetParam();
+    const BoundCandidates c = boundCandidates(t, {0.2f, 0.31f, 0.05f, 0.7f});
+    for (const size_t n : {16ul, 128ul, 256ul}) {
+        const auto xs = heavyTailData(n, 53 + n, 0.05);
+        const std::vector<double> ref = referenceMse(t, xs, c);
+        const double below =
+            std::nextafter(*std::min_element(ref.begin(), ref.end()), 0.0);
+        std::vector<double> out(ref.size());
+        ovpLockstepMse(t, xs, c.scales, c.thresholds, out, below);
+        for (size_t k = 0; k < out.size(); ++k) {
+            EXPECT_EQ(out[k], std::numeric_limits<double>::infinity())
+                << "n=" << n << " candidate " << k;
+        }
+        expectBoundContract(t, xs, c, below, "below");
+        expectBoundContract(t, xs, c, 0.0, "zero");
+    }
+}
+
+TEST_P(OvpOracle, BoundEqualToLaneMseKeepsThatLane)
+{
+    const NormalType t = GetParam();
+    const BoundCandidates c = boundCandidates(t, {0.2f, 0.31f, 0.05f, 0.7f});
+    for (const size_t n : {15ul, 16ul, 128ul, 255ul}) {
+        const auto xs = heavyTailData(n, 59 + n, 0.05);
+        const std::vector<double> ref = referenceMse(t, xs, c);
+        std::vector<double> out(ref.size());
+        for (size_t k = 0; k < ref.size(); ++k) {
+            ovpLockstepMse(t, xs, c.scales, c.thresholds, out, ref[k]);
+            EXPECT_TRUE(bitEqual(out[k], ref[k]))
+                << "n=" << n << " candidate " << k << ": " << out[k]
+                << " vs " << ref[k];
+            expectBoundContract(t, xs, c, ref[k], "equal");
+            expectBoundContract(t, xs, c, std::nextafter(ref[k], 0.0),
+                                "just below");
+        }
+    }
+}
+
+TEST_P(OvpOracle, BoundHoldsOnSubnormalAndAllOutlierRows)
+{
+    const NormalType t = GetParam();
+    const BoundCandidates c =
+        boundCandidates(t, {0.25f, 0.31f, 0x1p-140f, 0x1.8p-139f});
+    std::vector<std::vector<float>> rows;
+    // Subnormals only, then beside normal values: 8 pairs each.
+    rows.push_back({0x1p-149f, -0x1p-149f, 0x1p-140f, -0x1.8p-139f,
+                    0x1p-137f, -0x1p-136f, 0x1.4p-133f, 0x1p-130f,
+                    -0x1p-145f, 0x1p-141f, 0x1.8p-138f, -0x1p-149f,
+                    0x1p-139f, 0x1p-142f, -0x1.4p-135f, 0x1p-144f});
+    rows.push_back({0x1p-149f, 0.3f, -0x1p-140f, -1.2f, 0x1p-137f, 0.0f,
+                    -0x1p-136f, 2.5f, 0x1p-126f, -0.7f, 0x1p-145f, 0.05f,
+                    -0x1.8p-139f, 9.0f, 0x1p-133f, -3.0f});
+    // Every value beyond every candidate's threshold, equal-magnitude
+    // pairs included: each pair prunes its victim.
+    std::vector<float> outliers;
+    for (size_t i = 0; i < 64; ++i) {
+        const auto v = static_cast<float>(50.0 + 3.0 * (i % 17));
+        outliers.push_back(i % 3 == 0 ? -v : v);
+    }
+    outliers[1] = -outliers[0];
+    rows.push_back(outliers);
+
+    for (const auto &row : rows) {
+        for (const auto xs :
+             {std::span<const float>(row),
+              std::span<const float>(row).first(row.size() - 1)}) {
+            const std::vector<double> ref = referenceMse(t, xs, c);
+            std::vector<double> bounds = {
+                0.0, std::numeric_limits<double>::infinity()};
+            for (const double r : ref) {
+                bounds.push_back(r);
+                bounds.push_back(std::nextafter(r, 0.0));
+                bounds.push_back(std::nextafter(r, 1e300));
+            }
+            for (const double b : bounds)
+                expectBoundContract(t, xs, c, b, "row");
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllTypes, OvpOracle, ::testing::ValuesIn(kAllTypes),
                          [](const auto &info) {
                              return toString(info.param);
@@ -398,6 +570,82 @@ TEST(CalibrateOracle, DecisionMatchesReferenceOnKvRows)
     EXPECT_GE(rows, 1000u);
 }
 
+TEST(CalibrateOracle, EqualMseTieKeepsEarliestCandidate)
+{
+    // A threshold sweep narrower than a float ulp of the scale: every
+    // grid point of a type shares one scale and, with no value between
+    // the thresholds, one MSE.  Middle-out scoring meets the middle
+    // group first, yet the first grid point must still win.
+    OliveConfig config;
+    config.searchLo = 1.0;
+    config.searchHi = 1.0 + 0x1p-30;
+    const OliveQuantizer q(config);
+    const size_t points = static_cast<size_t>(config.searchPoints);
+    size_t ties = 0;
+    for (u64 seed = 70; seed < 90; ++seed) {
+        const auto xs = heavyTailData(128, seed, 0.04);
+        const QuantDecision fast = q.calibrate(xs);
+        const QuantDecision ref = q.calibrateReference(xs);
+        EXPECT_EQ(fast.normal, ref.normal) << "seed=" << seed;
+        EXPECT_EQ(fast.threshold, ref.threshold) << "seed=" << seed;
+        EXPECT_EQ(fast.scale, ref.scale) << "seed=" << seed;
+        EXPECT_TRUE(bitEqual(fast.mse, ref.mse)) << "seed=" << seed;
+        // Count the rows that really tie: the winner's threshold is the
+        // sweep's first (t0 * searchLo = t0), and the middle group of
+        // its type (points 12..15) scores the same MSE.
+        bool tie = true;
+        for (size_t i = 12; i < 16; ++i) {
+            const double mult =
+                config.searchLo *
+                std::pow(config.searchHi / config.searchLo,
+                         static_cast<double>(i) /
+                             static_cast<double>(points - 1));
+            const double thr = ref.threshold * mult;
+            const auto scale =
+                static_cast<float>(thr / maxNormalMagnitude(ref.normal));
+            const OvpCodec codec(ref.normal, scale, thr);
+            tie = tie && thr != ref.threshold &&
+                  bitEqual(stats::mse(xs, codec.fakeQuantReference(xs)),
+                           ref.mse);
+        }
+        ties += tie ? 1 : 0;
+    }
+    EXPECT_GE(ties, 10u);
+}
+
+TEST(CalibrateOracle, TopLevelDecisionMatchesReferenceAtOneAndFourThreads)
+{
+    // At the top level, calibrate() scores its groups in parallel with
+    // a bound the tasks share, so which passes stop early depends on
+    // timing; the decision must not.
+    OliveConfig c4;
+    OliveConfig c8;
+    c8.bits = 8;
+    for (const size_t threads : {1ul, 4ul}) {
+        par::setThreadCount(threads);
+        u64 seed = 2000;
+        for (const OliveConfig &config : {c4, c8}) {
+            const OliveQuantizer q(config);
+            for (const size_t d : {2ul, 128ul, 10000ul}) {
+                for (size_t r = 0; r < (d > 128 ? 2 : 20); ++r) {
+                    const auto xs =
+                        heavyTailData(d, ++seed, (r % 4) * 0.03, 0.1, 8.0);
+                    const QuantDecision fast = q.calibrate(xs);
+                    const QuantDecision ref = q.calibrateReference(xs);
+                    const std::string what =
+                        "threads=" + std::to_string(threads) +
+                        " seed=" + std::to_string(seed);
+                    EXPECT_EQ(fast.normal, ref.normal) << what;
+                    EXPECT_EQ(fast.scale, ref.scale) << what;
+                    EXPECT_EQ(fast.threshold, ref.threshold) << what;
+                    EXPECT_TRUE(bitEqual(fast.mse, ref.mse)) << what;
+                }
+            }
+        }
+    }
+    par::setThreadCount(0);
+}
+
 TEST(CalibrateOracle, PercentileSelectionMatchesSortedDefinition)
 {
     // stats::percentile switched from a full sort to nth_element-based
@@ -420,6 +668,42 @@ TEST(CalibrateOracle, PercentileSelectionMatchesSortedDefinition)
                 << "n=" << n << " p=" << p;
         }
     }
+}
+
+TEST(CalibrateOracle, PercentileSelectionMatchesSortedOnTiesAndRuns)
+{
+    // The selection partitions three ways around median-of-three
+    // pivots; ties, constant, sorted and reversed inputs exercise the
+    // equal-to-pivot band and the rounds that shrink one side only.
+    Rng rng(12);
+    for (int mode = 0; mode < 5; ++mode) {
+        for (const size_t n : {1ul, 2ul, 3ul, 8ul, 127ul, 128ul, 1000ul}) {
+            std::vector<float> xs(n);
+            for (size_t i = 0; i < n; ++i) {
+                const auto g = static_cast<float>(rng.gaussian());
+                const float by_mode[] = {
+                    std::round(2.0f * g), 1.0f, static_cast<float>(i),
+                    static_cast<float>(n - i), i % 3 ? g : 0.0f};
+                xs[i] = by_mode[mode];
+            }
+            std::vector<float> sorted(xs);
+            std::sort(sorted.begin(), sorted.end());
+            for (const double p : {0.0, 1.0, 50.0, 63.0, 99.0, 100.0}) {
+                const double rank = p / 100.0 * static_cast<double>(n - 1);
+                const size_t lo = static_cast<size_t>(rank);
+                const size_t hi = std::min(lo + 1, n - 1);
+                const double frac = rank - static_cast<double>(lo);
+                const double expect =
+                    sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+                EXPECT_EQ(stats::percentile(xs, p), expect)
+                    << "mode=" << mode << " n=" << n << " p=" << p;
+            }
+        }
+    }
+    // A NaN pivot never splits a range: the selection must fall back to
+    // nth_element rather than spin.
+    const std::vector<float> nans(9, std::nanf(""));
+    EXPECT_TRUE(std::isnan(stats::percentile(nans, 50.0)));
 }
 
 namespace gemm_oracle {
